@@ -93,6 +93,21 @@ RateMajorant FunctionalPropensity::majorant(double t0, double t1) const {
   return RateMajorant(std::move(clipped));
 }
 
+namespace {
+
+/// The model's surface state at every bias point: the one routine behind
+/// both a schedule's surface column and a column-less schedule's per-trap
+/// pass.
+std::vector<physics::SurfaceState> surface_states(
+    const physics::SrhModel& model, const std::vector<double>& bias) {
+  std::vector<physics::SurfaceState> surface;
+  surface.reserve(bias.size());
+  for (double v : bias) surface.push_back(model.surface_state(v));
+  return surface;
+}
+
+}  // namespace
+
 BiasSchedule BiasSchedule::build(const Pwl& v_gs, double max_bias_step) {
   if (!(max_bias_step > 0.0)) {
     throw std::invalid_argument("BiasSchedule: max_bias_step must be > 0");
@@ -124,24 +139,40 @@ BiasSchedule BiasSchedule::build(const Pwl& v_gs, double max_bias_step) {
   return schedule;
 }
 
+BiasSchedule BiasSchedule::build(const physics::SrhModel& model,
+                                 const Pwl& v_gs, double max_bias_step) {
+  BiasSchedule schedule = build(v_gs, max_bias_step);
+  schedule.surface = surface_states(model, schedule.bias);
+  return schedule;
+}
+
 BiasPropensity::BiasPropensity(const physics::SrhModel& model,
                                const physics::Trap& trap, const Pwl& v_gs,
                                double max_bias_step)
-    : BiasPropensity(model, trap, BiasSchedule::build(v_gs, max_bias_step)) {}
+    : BiasPropensity(model, trap,
+                     BiasSchedule::build(model, v_gs, max_bias_step)) {}
 
 BiasPropensity::BiasPropensity(const physics::SrhModel& model,
                                const physics::Trap& trap,
                                const BiasSchedule& schedule) {
-  if (schedule.times.empty() ||
-      schedule.times.size() != schedule.bias.size()) {
+  const std::size_t n = schedule.times.size();
+  if (n == 0 || schedule.bias.size() != n ||
+      (!schedule.surface.empty() && schedule.surface.size() != n)) {
     throw std::invalid_argument("BiasPropensity: malformed schedule");
   }
+  const std::vector<physics::SurfaceState> own_surface =
+      schedule.surface.empty() ? surface_states(model, schedule.bias)
+                               : std::vector<physics::SurfaceState>{};
+  const auto& surface =
+      schedule.surface.empty() ? own_surface : schedule.surface;
+
+  // Tabulate λ_c at every schedule point: the only per-trap cost, one
+  // exponential per point with Λ hoisted out of the loop.
   total_rate_ = model.total_rate(trap);
-  // Tabulate λ_c at every schedule point: the only per-trap cost.
   std::vector<double> lc;
-  lc.reserve(schedule.times.size());
-  for (double bias : schedule.bias) {
-    lc.push_back(model.propensities(trap, bias).lambda_c);
+  lc.reserve(n);
+  for (const physics::SurfaceState& s : surface) {
+    lc.push_back(model.capture_rate(trap, total_rate_, s));
   }
   lambda_c_of_t_ = Pwl(schedule.times, std::move(lc));
   build_envelope();

@@ -129,16 +129,25 @@ class FunctionalPropensity final : public PropensityFunction {
 
 /// Refined per-device bias schedule: the tabulation time grid (bias
 /// breakpoints subdivided so no segment's voltage change exceeds
-/// `max_bias_step`) together with the bias value at each point. The
-/// schedule depends only on (V_gs, max_bias_step) — never on the trap —
-/// so a device's traps share one schedule and each pays only its own SRH
-/// evaluations; BiasPropensity built from a schedule is bit-identical to
-/// one built from the waveform directly.
+/// `max_bias_step`) together with the bias value at each point and,
+/// when built with a model, the surface state (F_ox, E_F - E_i) there.
+/// None of it depends on the trap, so a device's traps share one schedule
+/// and each pays only one exponential per point for its own λ_c;
+/// BiasPropensity built from a schedule is bit-identical to one built from
+/// the waveform directly.
 struct BiasSchedule {
   std::vector<double> times;
   std::vector<double> bias;  ///< v_gs.eval(times[i])
+  /// model.surface_state(bias[i]) when built with a model, else empty.
+  std::vector<physics::SurfaceState> surface;
 
+  /// The time grid and bias only; BiasPropensity then evaluates the
+  /// surface state per trap.
   static BiasSchedule build(const Pwl& v_gs, double max_bias_step);
+
+  /// The time grid, bias and the model's surface state at every point.
+  static BiasSchedule build(const physics::SrhModel& model, const Pwl& v_gs,
+                            double max_bias_step);
 };
 
 /// SRH trap propensities under a time-varying gate bias V_gs(t).
@@ -161,10 +170,12 @@ class BiasPropensity final : public PropensityFunction {
   BiasPropensity(const physics::SrhModel& model, const physics::Trap& trap,
                  const Pwl& v_gs, double max_bias_step = 0.01);
 
-  /// Tabulate from a prebuilt schedule (one SRH evaluation per schedule
+  /// Tabulate from a prebuilt schedule (one exponential per schedule
   /// point). Equivalent to the waveform constructor with the (v_gs,
   /// max_bias_step) the schedule was built from — devices with many traps
-  /// build the schedule once and amortise the waveform refinement.
+  /// build the schedule once and amortise the waveform refinement and the
+  /// surface-state lookups. A schedule without a surface column gets one
+  /// evaluated here, for this trap only.
   BiasPropensity(const physics::SrhModel& model, const physics::Trap& trap,
                  const BiasSchedule& schedule);
 

@@ -109,10 +109,10 @@ DeviceRtnResult generate_device_rtn(const physics::SrhModel& model,
   if (!(options.tf > options.t0)) {
     throw std::invalid_argument("generate_device_rtn: tf <= t0");
   }
-  // The schedule depends only on the waveform: build it once and let each
-  // trap pay only its own SRH tabulation.
+  // The schedule and its surface state depend only on the waveform: build
+  // them once and let each trap pay only its own λ_c exponentials.
   const BiasSchedule schedule =
-      BiasSchedule::build(v_gs, options.max_bias_step);
+      BiasSchedule::build(model, v_gs, options.max_bias_step);
   DeviceRtnResult result;
   simulate_traps(result, traps, rng, options, [&](std::size_t i) {
     return BiasPropensity(model, traps[i], schedule);
@@ -128,7 +128,8 @@ DeviceRtnWorkload::DeviceRtnWorkload(const physics::SrhModel& model,
                                      std::vector<physics::Trap> traps,
                                      Pwl v_gs, Pwl i_d, double max_bias_step)
     : traps_(std::move(traps)) {
-  const BiasSchedule schedule = BiasSchedule::build(v_gs, max_bias_step);
+  const BiasSchedule schedule =
+      BiasSchedule::build(model, v_gs, max_bias_step);
   propensities_.reserve(traps_.size());
   for (const auto& trap : traps_) {
     propensities_.emplace_back(model, trap, schedule);

@@ -51,8 +51,8 @@ struct DeviceRtnResult {
 /// Generate the full RTN trace for one device under bias waveforms
 /// V_gs(t) and I_d(t). Each trap gets an independent RNG stream derived
 /// from `rng`, so the result is invariant to trap simulation order. The
-/// bias schedule (waveform refinement) is built once and shared by every
-/// trap; each trap pays only its own SRH tabulation.
+/// bias schedule (waveform refinement and surface state) is built once and
+/// shared by every trap; each trap pays one exponential per schedule point.
 DeviceRtnResult generate_device_rtn(const physics::SrhModel& model,
                                     const physics::MosDevice& device,
                                     const std::vector<physics::Trap>& traps,
@@ -60,12 +60,13 @@ DeviceRtnResult generate_device_rtn(const physics::SrhModel& model,
                                     util::Rng& rng,
                                     const RtnGeneratorOptions& options = {});
 
-/// Prebuilt per-device RTN workload: the per-trap propensity tabulations
-/// (the surface-potential work, ~all of generate_device_rtn's setup cost)
-/// plus a tabulated Eq. 3 amplitude envelope, built once and reused across
-/// generate() calls. Repeated-generation drivers (Monte-Carlo campaigns,
-/// the RTN benchmark) construct the workload outside their hot loop so
-/// each pass pays only Algorithm 1 plus the render walk.
+/// Prebuilt per-device RTN workload: the per-trap λ_c tabulations (one
+/// exponential per trap and schedule point, most of generate_device_rtn's
+/// setup cost) plus a tabulated Eq. 3 amplitude envelope, built once and
+/// reused across generate() calls. Repeated-generation drivers
+/// (Monte-Carlo campaigns, the RTN benchmark) construct the workload
+/// outside their hot loop so each pass pays only Algorithm 1 plus the
+/// render walk.
 ///
 /// generate() draws trap i from `rng.split(i + 1)` exactly like
 /// generate_device_rtn, so trajectories and sampler statistics are

@@ -10,9 +10,15 @@
 //
 //   E_T - E_F |_t = E_tr - F_ox(t)·y_tr - (E_F - E_i)(V_gs(t))   [eV]
 //
-// Both F_ox and E_F - E_i come from the SurfacePotentialSolver.
+// Both F_ox and E_F - E_i come from the SurfacePotentialSolver, through a
+// surface-state table that depends only on the technology and is shared
+// by every model of it (see SurfaceTable).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "physics/surface_potential.hpp"
@@ -26,8 +32,24 @@ struct Propensities {
   double lambda_e;  ///< emission propensity, 1/s (filled -> empty)
 };
 
+/// The surface state tabulated on a uniform bias grid over
+/// [lo, lo + step·(size-1)] = [-1, 2·v_dd + 1] V. It reads only v_fb,
+/// t_ox, n_a, temperature and v_dd, so SrhModel memoises one immutable
+/// table per distinct value of those five fields.
+struct SurfaceTable {
+  double lo = 0.0;
+  double step = 0.0;
+  std::vector<double> f_ox;
+  std::vector<double> ef_minus_ei;
+};
+
 class SrhModel {
  public:
+  /// Most surface tables the process-wide memo keeps; the least recently
+  /// used is dropped first. Models hold their table by shared_ptr, so an
+  /// eviction never invalidates a live model.
+  static constexpr std::size_t kMaxMemoisedTables = 16;
+
   explicit SrhModel(const Technology& tech);
 
   /// The bias-independent total rate Λ = λ_c + λ_e for a trap at depth
@@ -36,10 +58,14 @@ class SrhModel {
   double total_rate(const Trap& trap) const;
 
   /// The ratio β = λ_e/λ_c at gate bias v_gs (paper Eq. 2).
-  double beta(const Trap& trap, double v_gs) const;
+  double beta(const Trap& trap, double v_gs) const {
+    return beta_at(trap, surface_state(v_gs));
+  }
 
   /// E_T - E_F in eV at gate bias v_gs.
-  double trap_fermi_gap(const Trap& trap, double v_gs) const;
+  double trap_fermi_gap(const Trap& trap, double v_gs) const {
+    return fermi_gap_at(trap, surface_state(v_gs));
+  }
 
   /// Both propensities at gate bias v_gs.
   Propensities propensities(const Trap& trap, double v_gs) const;
@@ -47,23 +73,50 @@ class SrhModel {
   /// Stationary filled probability 1/(1+β) at constant bias v_gs.
   double stationary_fill(const Trap& trap, double v_gs) const;
 
+  /// Surface state at bias v_gs, interpolated in the shared table (the
+  /// solver's bisection is too slow to run per candidate event). Falls
+  /// back to the direct solve outside the tabulated range; ψ_s is only
+  /// filled by the direct solve.
+  SurfaceState surface_state(double v_gs) const;
+
+  /// λ_c = Λ/(1+β) for a trap with total rate `total` = total_rate(trap)
+  /// at a surface state from surface_state(). The one λ_c formula:
+  /// propensities() and per-trap tabulation both evaluate it, so a table
+  /// built from precomputed surface states is bit-identical to calling
+  /// propensities() at every bias.
+  double capture_rate(const Trap& trap, double total,
+                      const SurfaceState& s) const {
+    // Guard β=inf via the clamp in beta_at().
+    return total / (1.0 + beta_at(trap, s));
+  }
+
   const Technology& tech() const noexcept { return tech_; }
 
+  /// The shared surface-state table behind surface_state().
+  const SurfaceTable& surface_table() const noexcept { return *table_; }
+
+  /// Number of tables the memo holds now (at most kMaxMemoisedTables).
+  static std::size_t memoised_tables();
+
  private:
-  /// Surface state at bias v_gs, via a precomputed table (the solver's
-  /// bisection is too slow to run per candidate event). Falls back to the
-  /// direct solve outside the tabulated range.
-  SurfaceState surface_state(double v_gs) const;
+  double fermi_gap_at(const Trap& trap, const SurfaceState& s) const {
+    // Oxide-field lever arm: a positive field (inversion) pulls the trap
+    // level down relative to the channel by F_ox * y_tr (volts == eV here).
+    return trap.e_tr - s.f_ox * trap.y_tr - s.ef_minus_ei;
+  }
+
+  double beta_at(const Trap& trap, const SurfaceState& s) const {
+    // Clamp the exponent: beyond ±60 kT the trap is frozen either way and
+    // exp() would overflow; the clamped value keeps λ's finite and ordered.
+    const double x =
+        std::clamp(fermi_gap_at(trap, s) / kt_ev_, -500.0, 500.0);
+    return tech_.trap_degeneracy * std::exp(x);
+  }
 
   Technology tech_;
   SurfacePotentialSolver surface_;
   double kt_ev_;
-
-  // Tabulated surface state over [table_lo_, table_hi_].
-  double table_lo_ = 0.0;
-  double table_step_ = 0.0;
-  std::vector<double> table_f_ox_;
-  std::vector<double> table_ef_ei_;
+  std::shared_ptr<const SurfaceTable> table_;
 };
 
 }  // namespace samurai::physics

@@ -33,6 +33,10 @@ double SurfacePotentialSolver::solve_psi_s(double v_gb) const {
   if (gate_voltage_of_psi(hi) <= v_gb) return hi;
   for (int iter = 0; iter < 80; ++iter) {
     const double mid = 0.5 * (lo + hi);
+    // Once the midpoint rounds onto an end of the bracket, every later
+    // iteration recomputes the same midpoint and leaves the result at it:
+    // stopping here returns the bits the full 80 iterations would.
+    if (mid == lo || mid == hi) break;
     if (gate_voltage_of_psi(mid) < v_gb) {
       lo = mid;
     } else {

@@ -32,9 +32,11 @@ class SurfacePotentialSolver {
   /// Full surface state (ψ_s, oxide field, Fermi alignment).
   SurfaceState solve(double v_gb) const;
 
- private:
+  /// The charge-sheet map ψ_s -> V_gb that solve_psi_s inverts (strictly
+  /// increasing in ψ_s).
   double gate_voltage_of_psi(double psi) const;
 
+ private:
   double v_fb_;
   double t_ox_;
   double phi_t_;

@@ -1,5 +1,6 @@
 #include "sram/array2d.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <stdexcept>
@@ -347,9 +348,10 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
   t0 = now_seconds();
   // Per-cell generation is independent (the RNG stream is derived from the
   // flat index, each iteration writes only its own slot, and the nominal
-  // result is read-only), so the cells fan out across the pool; the
-  // per-trap parallelism inside generate_device_rtn degrades to serial on
-  // pool threads. Bit-identical for any thread count.
+  // result is read-only), so the cells fan out across the pool, one thread
+  // per CPU the process may use; the per-trap parallelism inside
+  // generate_device_rtn degrades to serial on pool threads. Bit-identical
+  // for any thread count.
   result.rtn.traces.resize(config.rows * config.cols);
   util::parallel_for_indexed(
       config.rows * config.cols,
@@ -384,7 +386,8 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
         trace.stats = device_rtn.stats;
         result.rtn.traces[flat] = std::move(trace);
       },
-      util::ThreadPool::shared().worker_count() + 1);
+      std::min(util::ThreadPool::shared().worker_count() + 1,
+               util::available_cpus()));
   result.generation_seconds = now_seconds() - t0;
 
   t0 = now_seconds();

@@ -9,6 +9,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace samurai::util {
 
 namespace {
@@ -34,7 +38,6 @@ struct ThreadPool::Impl {
     const std::function<void(std::size_t)>* fn = nullptr;
     std::size_t participants = 0;     ///< blocks; slot 0 is the caller
     std::vector<Block> blocks;
-    std::atomic<std::size_t> claimed{0};   ///< worker slots handed out
     std::atomic<std::size_t> active{0};    ///< workers still running
     std::atomic<bool> cancelled{false};
     std::atomic<bool> has_exception{false};
@@ -45,9 +48,10 @@ struct ThreadPool::Impl {
     std::condition_variable done_cv;
   };
 
-  std::mutex mutex;                  ///< guards `job`, `shutdown`
+  std::mutex mutex;                  ///< guards `job`, `job_serial`, `shutdown`
   std::condition_variable wake_cv;
   Job* job = nullptr;
+  std::uint64_t job_serial = 0;      ///< bumped per published job
   bool shutdown = false;
   std::mutex submit_mutex;           ///< serialises whole jobs
   std::vector<std::thread> workers;
@@ -85,30 +89,32 @@ struct ThreadPool::Impl {
     job.steals.fetch_add(steals, std::memory_order_relaxed);
   }
 
-  void worker_loop() {
+  // Worker `index` always takes slot index + 1 (slot 0 is the caller), so
+  // a job with k participants runs on the caller plus workers 0..k-2.
+  // Repeated capped jobs thus reuse the same threads and their allocator
+  // arenas; were the k-1 slots taken by whichever workers woke first, each
+  // run would leave freed memory resident in a different subset of arenas
+  // and the process footprint would grow run after run.
+  void worker_loop(std::size_t index) {
+    std::uint64_t joined = 0;  // serial of the last job this worker ran
     for (;;) {
       Job* current = nullptr;
-      std::size_t slot = 0;
       {
         std::unique_lock<std::mutex> lock(mutex);
         wake_cv.wait(lock, [&] {
-          return shutdown ||
-                 (job != nullptr &&
-                  job->claimed.load(std::memory_order_relaxed) + 1 <
-                      job->participants);
+          return shutdown || (job != nullptr && job_serial != joined &&
+                              index + 1 < job->participants);
         });
         if (shutdown) return;
-        // Claim a worker slot (slot 0 belongs to the caller). Losing the
-        // race just means going back to sleep.
-        const std::size_t taken =
-            job->claimed.fetch_add(1, std::memory_order_relaxed);
-        if (taken + 1 >= job->participants) continue;
+        joined = job_serial;
         current = job;
-        slot = taken + 1;
       }
-      run_participant(*current, slot);
+      run_participant(*current, index + 1);
+      // Count down under done_mutex: the caller destroys the job as soon
+      // as it sees zero, so the last worker must be done touching the job
+      // (its mutex and condition variable) before the count can read zero.
+      std::lock_guard<std::mutex> lock(current->done_mutex);
       if (current->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard<std::mutex> lock(current->done_mutex);
         current->done_cv.notify_all();
       }
     }
@@ -118,7 +124,7 @@ struct ThreadPool::Impl {
 ThreadPool::ThreadPool(std::size_t workers) : impl_(new Impl) {
   impl_->workers.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
-    impl_->workers.emplace_back([this] { impl_->worker_loop(); });
+    impl_->workers.emplace_back([this, w] { impl_->worker_loop(w); });
   }
 }
 
@@ -185,6 +191,7 @@ ParallelForStats ThreadPool::for_indexed(
   {
     std::lock_guard<std::mutex> lock(impl_->mutex);
     impl_->job = &job;
+    ++impl_->job_serial;
   }
   impl_->wake_cv.notify_all();
 
@@ -219,6 +226,16 @@ ThreadPool& ThreadPool::shared() {
              ? 7
              : std::thread::hardware_concurrency() - 1));
   return pool;
+}
+
+std::size_t available_cpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 ParallelForStats parallel_for_indexed(

@@ -11,7 +11,8 @@
 //    partitions [0, n) into one contiguous block per participant; a
 //    participant drains its own block first and then *steals* from the
 //    other blocks, so imbalanced work (cells that converge slowly, biased
-//    samples that fail) cannot idle the fast participants.
+//    samples that fail) cannot idle the fast participants. A job with k
+//    participants always runs on the caller plus the same k-1 workers.
 //  * `parallel_for_indexed(n, fn, threads)` — the convenience entry point
 //    used by the adopters. `threads <= 1` runs the plain serial loop on
 //    the calling thread.
@@ -67,6 +68,10 @@ class ThreadPool {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
+
+/// The number of CPUs this process may run on: the sched_getaffinity
+/// count, or hardware_concurrency() where that is unavailable; at least 1.
+std::size_t available_cpus();
 
 /// Run `fn(i)` for i in [0, n) on `threads` threads (the shared pool plus
 /// the calling thread). `threads <= 1` is the exact serial loop. Results

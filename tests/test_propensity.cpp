@@ -219,6 +219,49 @@ TEST_F(BiasPropensityTest, RefinementTracksFastEdges) {
   }
 }
 
+// The tabulated λ_c is the direct model's λ_c, bit for bit, at every
+// schedule point: for traps across the energy window and oxide depth, on a
+// bias that leaves the surface table on both sides (direct-solve
+// fallback), whether the schedule carries a surface column or not.
+TEST_F(BiasPropensityTest, TabulationIsBitIdenticalToDirectModel) {
+  const double v_hi = 2.0 * tech_.v_dd + 1.0;  // the table's upper edge
+  const Pwl bias({0.0, 1e-9, 2e-9, 3e-9}, {-1.3, v_hi + 0.4, 0.3, -1.05});
+  const BiasSchedule bare = BiasSchedule::build(bias, 0.01);
+  const BiasSchedule with_surface = BiasSchedule::build(model_, bias, 0.01);
+  ASSERT_EQ(with_surface.times, bare.times);
+  ASSERT_EQ(with_surface.surface.size(), bare.times.size());
+  EXPECT_TRUE(bare.surface.empty());
+
+  for (double depth : {0.02, 0.3, 0.65, 0.99}) {
+    for (double energy : {tech_.trap_e_min, 0.55, tech_.trap_e_max}) {
+      const physics::Trap trap{depth * tech_.t_ox, energy,
+                               physics::TrapState::kEmpty};
+      const BiasPropensity from_bare(model_, trap, bare);
+      const BiasPropensity from_surface(model_, trap, with_surface);
+      const BiasPropensity from_waveform(model_, trap, bias, 0.01);
+      for (const BiasPropensity* prop :
+           {&from_bare, &from_surface, &from_waveform}) {
+        const auto& table = prop->lambda_c_table().values();
+        ASSERT_EQ(table.size(), bare.bias.size());
+        int mismatches = 0;
+        for (std::size_t k = 0; k < table.size(); ++k) {
+          if (table[k] != model_.propensities(trap, bare.bias[k]).lambda_c) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << "depth " << depth << " E " << energy;
+      }
+    }
+  }
+}
+
+TEST_F(BiasPropensityTest, MismatchedSurfaceColumnThrows) {
+  BiasSchedule schedule =
+      BiasSchedule::build(model_, Pwl({0.0, 1e-9}, {0.0, 0.9}), 0.1);
+  schedule.surface.pop_back();
+  EXPECT_THROW(BiasPropensity(model_, trap_, schedule), std::invalid_argument);
+}
+
 TEST_F(BiasPropensityTest, BadBiasStepThrows) {
   EXPECT_THROW(BiasPropensity(model_, trap_, Pwl::constant(1.0), 0.0),
                std::invalid_argument);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <optional>
+#include <thread>
+#include <vector>
 
 #include "physics/constants.hpp"
 #include "physics/technology.hpp"
@@ -147,6 +151,101 @@ TEST(SrhModel, TabulatedSurfaceMatchesDirectSolveOutsideTable) {
   const double inside = model.trap_fermi_gap(trap, -0.999);
   const double outside = model.trap_fermi_gap(trap, -1.001);
   EXPECT_NEAR(inside, outside, 5e-3);
+}
+
+// The surface-state table is memoised per technology: every model of one
+// technology reads the same table object.
+TEST(SrhModelMemo, ModelsOfOneTechnologyShareATable) {
+  const auto tech = technology("65nm");
+  const SrhModel a(tech);
+  const SrhModel b(tech);
+  EXPECT_EQ(&a.surface_table(), &b.surface_table());
+  // Fields the table does not read leave the key alone.
+  auto renamed = tech;
+  renamed.name = "65nm-variant";
+  renamed.tau0 *= 2.0;
+  renamed.trap_degeneracy *= 2.0;
+  EXPECT_EQ(&SrhModel(renamed).surface_table(), &a.surface_table());
+}
+
+TEST(SrhModelMemo, EachKeyFieldSelectsItsOwnTable) {
+  const auto base = technology("45nm");
+  const SrhModel reference(base);
+  const std::vector<std::function<void(Technology&)>> edits = {
+      [](Technology& t) { t.v_fb += 0.05; },
+      [](Technology& t) { t.t_ox *= 1.1; },
+      [](Technology& t) { t.n_a *= 1.5; },
+      [](Technology& t) { t.temperature += 25.0; },
+      [](Technology& t) { t.v_dd += 0.1; },
+  };
+  for (std::size_t i = 0; i < edits.size(); ++i) {
+    auto tech = base;
+    edits[i](tech);
+    const SrhModel model(tech);
+    EXPECT_NE(&model.surface_table(), &reference.surface_table())
+        << "key field " << i;
+    EXPECT_NE(model.surface_table().f_ox, reference.surface_table().f_ox)
+        << "key field " << i;
+  }
+}
+
+// Sweeping more distinct supplies than the cap holds the memo at the cap;
+// a live model keeps its evicted table, and the evicted key rebuilds the
+// same bits.
+TEST(SrhModelMemo, CapEvictsLeastRecentlyUsedAndRebuildsIdentically) {
+  auto tech = technology("32nm");
+  tech.v_dd = 0.517;  // a supply no other test uses
+  const SrhModel first(tech);
+  const SurfaceTable& kept = first.surface_table();
+  for (std::size_t i = 1; i <= SrhModel::kMaxMemoisedTables + 4; ++i) {
+    auto other = tech;
+    other.v_dd += 0.01 * static_cast<double>(i);
+    const SrhModel model(other);
+    EXPECT_LE(SrhModel::memoised_tables(), SrhModel::kMaxMemoisedTables);
+  }
+  EXPECT_EQ(SrhModel::memoised_tables(), SrhModel::kMaxMemoisedTables);
+
+  const SrhModel rebuilt(tech);
+  EXPECT_NE(&rebuilt.surface_table(), &kept);  // evicted, so built anew
+  EXPECT_EQ(rebuilt.surface_table().lo, kept.lo);
+  EXPECT_EQ(rebuilt.surface_table().step, kept.step);
+  EXPECT_EQ(rebuilt.surface_table().f_ox, kept.f_ox);
+  EXPECT_EQ(rebuilt.surface_table().ef_minus_ei, kept.ef_minus_ei);
+  // ...and the next request hits the rebuilt table.
+  EXPECT_EQ(&SrhModel(tech).surface_table(), &rebuilt.surface_table());
+}
+
+// Eight threads constructing models of one not-yet-memoised technology at
+// once: the table is built once and every thread's propensities (inside
+// and outside the tabulated range) carry the same bits.
+TEST(SrhModelMemo, ConcurrentConstructionIsBitIdentical) {
+  auto tech = technology("22nm");
+  tech.temperature = 311.5;  // a key no other test uses
+  const Trap trap{0.4 * tech.t_ox, 0.6, TrapState::kEmpty};
+  const std::vector<double> biases = {-1.4, -1.0, 0.0, 0.37, 0.8,
+                                      2.0 * tech.v_dd + 0.99,
+                                      2.0 * tech.v_dd + 1.3};
+  constexpr std::size_t kThreads = 8;
+  std::vector<std::optional<SrhModel>> models(kThreads);
+  std::vector<std::vector<Propensities>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      models[t].emplace(tech);
+      for (double v : biases) {
+        seen[t].push_back(models[t]->propensities(trap, v));
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t t = 1; t < kThreads; ++t) {
+    EXPECT_EQ(&models[t]->surface_table(), &models[0]->surface_table());
+    for (std::size_t k = 0; k < biases.size(); ++k) {
+      EXPECT_EQ(seen[t][k].lambda_c, seen[0][k].lambda_c) << biases[k];
+      EXPECT_EQ(seen[t][k].lambda_e, seen[0][k].lambda_e) << biases[k];
+    }
+  }
 }
 
 }  // namespace

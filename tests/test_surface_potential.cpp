@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "physics/technology.hpp"
 
 namespace samurai::physics {
@@ -45,6 +48,43 @@ TEST_P(SurfacePotentialTest, FermiAlignmentSweepsThroughZero) {
   // Depleted surface: E_F below E_i; inverted surface: E_F above E_i.
   EXPECT_LT(solver.solve(-0.8).ef_minus_ei, 0.0);
   EXPECT_GT(solver.solve(tech.v_dd).ef_minus_ei, 0.0);
+}
+
+// solve_psi_s stops bisecting once the midpoint rounds onto a bracket
+// end; that must return the exact bits of the plain fixed-count loop, on
+// the 4096-point grid SrhModel tabulates, at four supplies per node.
+TEST_P(SurfacePotentialTest, EarlyStopBisectionMatchesFixedIterations) {
+  for (double supply_scale : {0.75, 1.0, 1.25, 1.5}) {
+    auto tech = technology(GetParam());
+    tech.v_dd *= supply_scale;
+    const SurfacePotentialSolver solver(tech);
+    const auto fixed_iterations = [&](double v_gb) {
+      double lo = -1.5;
+      double hi = 2.0 * tech.phi_f() + 30.0 * tech.phi_t();
+      if (solver.gate_voltage_of_psi(lo) >= v_gb) return lo;
+      if (solver.gate_voltage_of_psi(hi) <= v_gb) return hi;
+      for (int iter = 0; iter < 80; ++iter) {
+        const double mid = 0.5 * (lo + hi);
+        if (solver.gate_voltage_of_psi(mid) < v_gb) {
+          lo = mid;
+        } else {
+          hi = mid;
+        }
+      }
+      return 0.5 * (lo + hi);
+    };
+    const double lo = -1.0;
+    const double step = (2.0 * tech.v_dd + 1.0 - lo) / 4095.0;
+    int mismatches = 0;
+    for (int i = 0; i < 4096; ++i) {
+      const double v = lo + step * static_cast<double>(i);
+      if (std::bit_cast<std::uint64_t>(solver.solve_psi_s(v)) !=
+          std::bit_cast<std::uint64_t>(fixed_iterations(v))) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "v_dd=" << tech.v_dd;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllNodes, SurfacePotentialTest,

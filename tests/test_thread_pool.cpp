@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace samurai::util {
@@ -132,6 +136,27 @@ TEST(ThreadPool, StealsReportedWhenWorkIsImbalanced) {
       4);
   EXPECT_EQ(stats.tasks_run, 64u);
   EXPECT_LE(stats.steals, stats.tasks_run);
+}
+
+// A job capped below the pool size runs on the caller plus the same
+// workers every time, so repeated capped jobs keep reusing the same
+// threads' allocator arenas instead of spreading over all of them.
+TEST(ThreadPool, CappedJobsReuseTheSameThreads) {
+  constexpr std::size_t kThreads = 3;
+  ASSERT_GT(ThreadPool::shared().worker_count() + 1, kThreads);
+  std::mutex mutex;
+  std::set<std::thread::id> seen;
+  for (int run = 0; run < 6; ++run) {
+    parallel_for_indexed(
+        4 * kThreads,
+        [&](std::size_t) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          const std::lock_guard lock(mutex);
+          seen.insert(std::this_thread::get_id());
+        },
+        kThreads);
+  }
+  EXPECT_LE(seen.size(), kThreads);
 }
 
 }  // namespace
