@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
   std::printf("\narray %zux%zu (%s, RTN scale %g): nominal %.2f s, "
               "generation %.2f s, injected %.2f s\n",
               rows, cols, spice::activity_mode_to_string(activity).c_str(),
-              rtn_scale, run.nominal_seconds, run.generation_seconds,
-              run.injected_seconds);
+              rtn_scale, run.rtn.nominal_seconds, run.rtn.generation_seconds,
+              run.rtn.injected_seconds);
   util::Table array_table({"column", "worst margin (mV)",
                            "nominal worst (mV)", "loss (mV)"});
   for (std::size_t c = 0; c < cols; ++c) {
@@ -175,7 +175,7 @@ int main(int argc, char** argv) {
               rows, cols, spice::activity_mode_to_string(activity).c_str(),
               rtn_scale, run.rtn_report.min_sense_margin,
               run.nominal_report.min_sense_margin, array_errors,
-              array_disturbs, run.injected_seconds);
+              array_disturbs, run.rtn.injected_seconds);
   for (std::size_t c = 0; c < cols; ++c) {
     std::printf("%s%.4f", c ? ", " : "",
                 run.rtn_report.column_worst_margin[c]);

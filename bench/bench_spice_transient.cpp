@@ -316,9 +316,9 @@ ArrayRtnEntry bench_array_rtn(std::size_t rows, std::size_t cols,
   ArrayRtnEntry entry;
   entry.rows = rows;
   entry.cols = cols;
-  entry.nominal_s = run.nominal_seconds;
-  entry.generation_s = run.generation_seconds;
-  entry.injected_s = run.injected_seconds;
+  entry.nominal_s = run.rtn.nominal_seconds;
+  entry.generation_s = run.rtn.generation_seconds;
+  entry.injected_s = run.rtn.injected_seconds;
   entry.nominal_ok = !run.nominal_report.any_error;
   entry.rtn_ok = !run.rtn_report.any_error;
   entry.traces = run.rtn.traces.size();

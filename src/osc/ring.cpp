@@ -1,16 +1,35 @@
 #include "osc/ring.hpp"
 
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
-#include "core/rtn_generator.hpp"
-#include "physics/srh_model.hpp"
-#include "physics/trap_profile.hpp"
 #include "spice/devices.hpp"
-#include "sram/methodology.hpp"
-#include "util/rng.hpp"
+#include "spice/rtn_integration.hpp"
 
 namespace samurai::osc {
+
+namespace {
+
+std::string stage_node(std::size_t stage) { return "n" + std::to_string(stage); }
+
+spice::TransientOptions ring_transient_options(const RingConfig& config) {
+  spice::TransientOptions options;
+  options.t_start = 0.0;
+  options.t_stop = config.t_stop > 0.0
+                       ? config.t_stop
+                       : 50.0 * static_cast<double>(config.stages) * 2.0e-10;
+  options.dt_max = options.t_stop / 4000.0;
+  // Kick the ring out of its metastable DC point: alternate the stage
+  // nodesets; with an odd stage count one edge is frustrated and the ring
+  // starts oscillating.
+  for (std::size_t s = 0; s < config.stages; ++s) {
+    options.dc.nodeset[stage_node(s)] = (s % 2 == 0) ? 0.0 : config.tech.v_dd;
+  }
+  return options;
+}
+
+}  // namespace
 
 RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config) {
   if (config.stages < 3 || config.stages % 2 == 0) {
@@ -24,7 +43,7 @@ RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config) {
 
   build.stage_nodes.reserve(config.stages);
   for (std::size_t s = 0; s < config.stages; ++s) {
-    build.stage_nodes.push_back("n" + std::to_string(s));
+    build.stage_nodes.push_back(stage_node(s));
   }
   const double load =
       config.load_cap > 0.0
@@ -97,82 +116,43 @@ PeriodStats period_statistics(const std::vector<double>& crossings,
   return stats;
 }
 
-namespace {
-
-spice::TransientOptions ring_transient_options(const RingConfig& config,
-                                               const RingBuild& build) {
-  spice::TransientOptions options;
-  options.t_start = 0.0;
-  options.t_stop = config.t_stop > 0.0
-                       ? config.t_stop
-                       : 50.0 * static_cast<double>(config.stages) * 2.0e-10;
-  options.dt_max = options.t_stop / 4000.0;
-  // Kick the ring out of its metastable DC point: alternate the stage
-  // nodesets; with an odd stage count one edge is frustrated and the ring
-  // starts oscillating.
-  for (std::size_t s = 0; s < build.stage_nodes.size(); ++s) {
-    options.dc.nodeset[build.stage_nodes[s]] =
-        (s % 2 == 0) ? 0.0 : config.tech.v_dd;
-  }
-  return options;
-}
-
-}  // namespace
-
 RingRtnResult ring_rtn_analysis(const RingConfig& config, std::uint64_t seed,
                                 double rtn_scale) {
-  RingRtnResult result;
-  const double threshold = 0.5 * config.tech.v_dd;
-
-  // Nominal run.
-  spice::Circuit nominal;
-  const RingBuild build = build_ring(nominal, config);
-  const auto options = ring_transient_options(config, build);
-  const auto nominal_run = spice::transient(nominal, options);
-  result.nominal = period_statistics(
-      rising_crossings(nominal_run.voltage(build.stage_nodes[0]), threshold));
-
-  // SAMURAI traces for every transistor of every stage.
-  const physics::SrhModel srh(config.tech);
-  util::Rng rng(seed);
-  spice::Circuit noisy;
-  const RingBuild noisy_build = build_ring(noisy, config);
-
-  std::uint64_t device_tag = 0;
+  // Every transistor of every stage, MN0, MP0, MN1, ..., the k-th (from 1)
+  // on Rng(seed).split(k·101) for its traps and split(k·977 + 13) for
+  // Algorithm 1.
+  std::vector<spice::RtnRequest> requests;
   for (std::size_t s = 0; s < config.stages; ++s) {
     for (const char* prefix : {"MN", "MP"}) {
-      const std::string name = prefix + std::to_string(s);
-      auto* source_fet = nominal.find<spice::Mosfet>(name);
-      auto* target_fet = noisy.find<spice::Mosfet>(name);
-      if (source_fet == nullptr || target_fet == nullptr) continue;
-      ++device_tag;
-
-      core::Pwl v_gs, i_d;
-      sram::extract_bias(nominal_run, nominal, *source_fet, v_gs, i_d);
-
-      util::Rng profile_rng = rng.split(device_tag * 101);
-      const auto traps = physics::sample_trap_profile(
-          config.tech, source_fet->model().geometry(), profile_rng);
-      physics::MosDevice equivalent(config.tech, physics::MosType::kNmos,
-                                    source_fet->model().geometry());
-      core::RtnGeneratorOptions gen;
-      gen.t0 = 0.0;
-      gen.tf = options.t_stop;
-      gen.amplitude_scale = rtn_scale;
-      gen.envelope_samples = 256;
-      util::Rng trap_rng = rng.split(device_tag * 977 + 13);
-      auto device_rtn = core::generate_device_rtn(srh, equivalent, traps, v_gs,
-                                                  i_d, trap_rng, gen);
-      result.rtn_switches += device_rtn.stats.accepted;
-      noisy.add<spice::CurrentSource>("Irtn_" + name, target_fet->drain(),
-                                      target_fet->source(),
-                                      device_rtn.i_rtn.scaled(-1.0));
+      const std::uint64_t k = requests.size() + 1;
+      spice::RtnRequest request;
+      request.device = prefix + std::to_string(s);
+      request.scale = rtn_scale;
+      request.seed = seed;
+      request.profile_stream = k * 101;
+      request.trap_stream = k * 977 + 13;
+      requests.push_back(std::move(request));
     }
   }
+  spice::RtnPipelineOptions pipeline;
+  pipeline.generator.envelope_samples = 256;
 
-  const auto noisy_run = spice::transient(noisy, options);
-  result.with_rtn = period_statistics(rising_crossings(
-      noisy_run.voltage(noisy_build.stage_nodes[0]), threshold));
+  RingBuild build;  // node names, identical for both factory calls
+  const auto run = spice::run_rtn_transient(
+      [&] {
+        auto circuit = std::make_unique<spice::Circuit>();
+        build = build_ring(*circuit, config);
+        return circuit;
+      },
+      ring_transient_options(config), requests, pipeline);
+
+  RingRtnResult result;
+  const double threshold = 0.5 * config.tech.v_dd;
+  result.nominal = period_statistics(
+      rising_crossings(run.nominal.voltage(build.stage_nodes[0]), threshold));
+  result.with_rtn = period_statistics(
+      rising_crossings(run.with_rtn.voltage(build.stage_nodes[0]), threshold));
+  for (const auto& trace : run.traces) result.rtn_switches += trace.stats.accepted;
   if (result.nominal.mean > 0.0 && result.with_rtn.mean > 0.0) {
     result.frequency_shift_ppm =
         (1.0 / result.with_rtn.mean - 1.0 / result.nominal.mean) /

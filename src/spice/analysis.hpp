@@ -309,11 +309,6 @@ struct TransientOptions {
   /// batch — and a scalar rerun with the same options — takes *exactly*
   /// the same steps. See DESIGN.md §13.
   bool fixed_grid = false;
-  /// Monte-Carlo lane count hint for campaign-level batching: how many
-  /// samples the campaign runner should march through one
-  /// transient_batch() call (spice/batch.hpp). 1 = scalar path. The
-  /// scalar transient() ignores it.
-  std::size_t batch = 1;
   /// Extra mandatory time points (e.g. RTN switch instants).
   std::vector<double> extra_breakpoints;
   /// Activity partition for array-scale circuits (kOff = classic path).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 
@@ -97,6 +98,18 @@ bool split_param(const std::string& token, std::string& key, std::string& value)
   key = lower(token.substr(0, eq));
   value = token.substr(eq + 1);
   return true;
+}
+
+/// A `.rtn` seed: an unsigned 64-bit decimal spanning the whole token.
+std::uint64_t parse_seed(std::size_t line, const std::string& token) {
+  std::uint64_t seed = 0;
+  const char* end = token.data() + token.size();
+  const auto [last, error] = std::from_chars(token.data(), end, seed);
+  if (error != std::errc() || last != end) {
+    throw ParseError(line, ".rtn seed must be an unsigned 64-bit integer, got '" +
+                               token + "'");
+  }
+  return seed;
 }
 
 core::Pwl parse_source_waveform(const Line& line, std::size_t first_token) {
@@ -360,13 +373,26 @@ ParsedNetlist parse_netlist(const std::string& text) {
               throw ParseError(line.number, "expected key=value on .rtn");
             }
             if (key == "scale") {
-              request.scale = parse_spice_value(value);
+              try {
+                request.scale = parse_spice_value(value);
+              } catch (const std::invalid_argument& e) {
+                throw ParseError(line.number, e.what());
+              }
+              if (!std::isfinite(request.scale)) {
+                throw ParseError(line.number, ".rtn scale must be finite");
+              }
             } else if (key == "seed") {
-              request.seed = static_cast<std::uint64_t>(
-                  parse_spice_value(value));
+              request.seed = parse_seed(line.number, value);
             } else {
               throw ParseError(line.number, "unknown .rtn parameter '" + key + "'");
             }
+          }
+          if (std::any_of(result.rtn_requests.begin(), result.rtn_requests.end(),
+                          [&](const RtnRequest& earlier) {
+                            return earlier.device == request.device;
+                          })) {
+            throw ParseError(line.number,
+                             "second .rtn card for '" + request.device + "'");
           }
           result.rtn_requests.push_back(std::move(request));
           break;

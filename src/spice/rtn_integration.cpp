@@ -1,12 +1,17 @@
 #include "spice/rtn_integration.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "physics/srh_model.hpp"
 #include "physics/trap_profile.hpp"
 #include "spice/parser.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace samurai::spice {
 
@@ -37,9 +42,90 @@ void extract_device_bias(const TransientResult& result, const Circuit& circuit,
   i_d = core::Pwl(times, std::move(id_values));
 }
 
+namespace {
+
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Each request's MOSFET, resolved through one name index: Circuit::find
+/// is a linear scan, so per-request lookups would grow with the square of
+/// an array's size. The first device of a name wins, as in Circuit::find.
+std::vector<const Mosfet*> find_mosfets(
+    const Circuit& circuit, const std::vector<RtnRequest>& requests) {
+  std::unordered_map<std::string_view, const Device*> by_name;
+  by_name.reserve(circuit.devices().size());
+  for (const auto& device : circuit.devices()) {
+    by_name.emplace(device->name(), device.get());
+  }
+  std::vector<const Mosfet*> mosfets;
+  for (const auto& request : requests) {
+    const auto it = by_name.find(request.device);
+    const auto* mosfet =
+        it == by_name.end() ? nullptr : dynamic_cast<const Mosfet*>(it->second);
+    if (mosfet == nullptr) {
+      throw std::invalid_argument("RTN requested for unknown MOSFET '" +
+                                  request.device + "'");
+    }
+    mosfets.push_back(mosfet);
+  }
+  return mosfets;
+}
+
+/// The per-device step: trap profile, bias, Algorithm 1 and Eq. 3.
+DeviceRtnTrace generate_trace(const RtnRequest& request, const Mosfet& mosfet,
+                              const TransientResult& nominal,
+                              const Circuit& circuit,
+                              const TransientOptions& options,
+                              const RtnPipelineOptions& pipeline) {
+  DeviceRtnTrace trace;
+  trace.device = request.device;
+
+  const auto& tech = mosfet.model().tech();
+  const auto& geometry = mosfet.model().geometry();
+  const physics::SrhModel srh(tech);
+  const util::Rng rng(request.seed);
+  util::Rng profile_rng = rng.split(request.profile_stream);
+  trace.traps =
+      physics::sample_trap_profile(tech, geometry, profile_rng, pipeline.profile);
+
+  core::Pwl v_gs, i_d;
+  extract_device_bias(nominal, circuit, mosfet, v_gs, i_d);
+  // Trap statistics and Eq. 3 use an NMOS-equivalent device so the
+  // extracted (positive-when-on) bias feeds both consistently.
+  const physics::MosDevice equivalent(tech, physics::MosType::kNmos, geometry);
+  core::RtnGeneratorOptions gen = pipeline.generator;
+  gen.t0 = options.t_start;
+  gen.tf = options.t_stop;
+  gen.amplitude_scale = request.scale;
+  util::Rng trap_rng = rng.split(request.trap_stream);
+  auto device_rtn = core::generate_device_rtn(srh, equivalent, trace.traps,
+                                              v_gs, i_d, trap_rng, gen);
+  trace.n_filled = std::move(device_rtn.n_filled);
+  trace.i_rtn = std::move(device_rtn.i_rtn);
+  trace.stats = device_rtn.stats;
+  if (pipeline.keep_bias) {
+    trace.v_gs = std::move(v_gs);
+    trace.i_d = std::move(i_d);
+  }
+  return trace;
+}
+
+}  // namespace
+
 RtnTransientResult run_rtn_transient(
     const std::function<std::unique_ptr<Circuit>()>& build,
-    const TransientOptions& options, const std::vector<RtnRequest>& requests) {
+    const TransientOptions& options, const std::vector<RtnRequest>& requests,
+    const RtnPipelineOptions& pipeline) {
+  std::unordered_set<std::string_view> seen;
+  for (const auto& request : requests) {
+    if (!seen.insert(request.device).second) {
+      throw std::invalid_argument("RTN requested twice for device '" +
+                                  request.device + "'");
+    }
+  }
   RtnTransientResult result;
 
   // One workspace for both passes: the injected circuit adds only current
@@ -49,56 +135,48 @@ RtnTransientResult run_rtn_transient(
   NewtonWorkspace workspace;
 
   // Pass 1: nominal run.
+  double t0 = now_seconds();
   auto nominal_circuit = build();
+  const auto nominal_fets = find_mosfets(*nominal_circuit, requests);
   result.nominal = transient(*nominal_circuit, options, workspace);
+  result.nominal_seconds = now_seconds() - t0;
 
-  // SAMURAI per tagged device.
-  result.traces.reserve(requests.size());
-  for (const auto& request : requests) {
-    auto* mosfet = nominal_circuit->find<Mosfet>(request.device);
-    if (mosfet == nullptr) {
-      throw std::invalid_argument(".rtn references unknown MOSFET '" +
-                                  request.device + "'");
-    }
-    DeviceRtnTrace trace;
-    trace.device = request.device;
-
-    const auto& tech = mosfet->model().tech();
-    const physics::SrhModel srh(tech);
-    util::Rng rng(request.seed);
-    util::Rng profile_rng = rng.split(101);
-    trace.traps = physics::sample_trap_profile(
-        tech, mosfet->model().geometry(), profile_rng);
-
-    core::Pwl v_gs, i_d;
-    extract_device_bias(result.nominal, *nominal_circuit, *mosfet, v_gs, i_d);
-    const physics::MosDevice equivalent(tech, physics::MosType::kNmos,
-                                        mosfet->model().geometry());
-    core::RtnGeneratorOptions gen;
-    gen.t0 = options.t_start;
-    gen.tf = options.t_stop;
-    gen.amplitude_scale = request.scale;
-    util::Rng trap_rng = rng.split(977);
-    auto device_rtn = core::generate_device_rtn(srh, equivalent, trace.traps,
-                                                v_gs, i_d, trap_rng, gen);
-    trace.n_filled = std::move(device_rtn.n_filled);
-    trace.i_rtn = std::move(device_rtn.i_rtn);
-    trace.stats = device_rtn.stats;
-    result.traces.push_back(std::move(trace));
-  }
+  // SAMURAI per requested device. Each device draws only from its own
+  // streams and writes only its own slot, and the nominal run is
+  // read-only, so the devices fan out over the pool, one thread per CPU
+  // the process may use (serial inside a pool job, and on one CPU without
+  // starting the pool); bit-identical for any thread count.
+  t0 = now_seconds();
+  result.traces.resize(requests.size());
+  const std::size_t cpus = util::available_cpus();
+  util::parallel_for_indexed(
+      requests.size(),
+      [&](std::size_t k) {
+        result.traces[k] =
+            generate_trace(requests[k], *nominal_fets[k], result.nominal,
+                           *nominal_circuit, options, pipeline);
+      },
+      cpus > 1 ? std::min(util::ThreadPool::shared().worker_count() + 1, cpus)
+               : 1);
+  result.generation_seconds = now_seconds() - t0;
 
   // Pass 2: injected run on a fresh circuit.
+  t0 = now_seconds();
   auto rtn_circuit = build();
-  for (const auto& trace : result.traces) {
-    auto* mosfet = rtn_circuit->find<Mosfet>(trace.device);
-    if (mosfet == nullptr) {
-      throw std::runtime_error("circuit factory is not deterministic: '" +
-                               trace.device + "' vanished");
-    }
-    rtn_circuit->add<CurrentSource>("Irtn_" + trace.device, mosfet->drain(),
-                                    mosfet->source(), trace.i_rtn.scaled(-1.0));
+  const auto rtn_fets = find_mosfets(*rtn_circuit, requests);
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    if (!requests[k].inject) continue;
+    const Mosfet* mosfet = rtn_fets[k];
+    // Inject opposing the nominal channel current (paper Fig. 4 right):
+    // the trace is signed like I_d, so the negated source always bucks it.
+    const auto& trace = result.traces[k];
+    auto& source = rtn_circuit->add<CurrentSource>(
+        "Irtn_" + trace.device, mosfet->drain(), mosfet->source(),
+        trace.i_rtn.scaled(-1.0));
+    source.set_emit_breakpoints(pipeline.emit_breakpoints);
   }
   result.with_rtn = transient(*rtn_circuit, options, workspace);
+  result.injected_seconds = now_seconds() - t0;
   return result;
 }
 

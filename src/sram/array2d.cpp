@@ -1,16 +1,11 @@
 #include "sram/array2d.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 
-#include "core/rtn_generator.hpp"
-#include "physics/srh_model.hpp"
-#include "physics/trap_profile.hpp"
 #include "spice/devices.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace samurai::sram {
 
@@ -19,12 +14,6 @@ std::string array_cell_prefix(std::size_t row, std::size_t col) {
 }
 
 namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Control waveforms for the op sequence (same slot timing discipline as
 /// the column's build_waves, widened to per-row WL and per-column
@@ -328,87 +317,32 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
   options.lte_reltol = 1e9;
   options.lte_abstol = 1e9;
 
-  // Mirror of spice::run_rtn_transient with per-phase wall timing and the
-  // array's request convention: one RTN stream per cell, on the M5
-  // pull-down (the paper's read-margin-critical device).
-  Array2dRtnResult result;
-  spice::NewtonWorkspace workspace;
-
-  auto build_circuit = [&config](spice::Circuit& circuit) {
-    return build_array2d(circuit, config);
-  };
-
-  double t0 = now_seconds();
-  auto nominal_circuit = std::make_unique<spice::Circuit>();
-  Array2dBuild build = build_circuit(*nominal_circuit);
-  result.rtn.nominal =
-      spice::transient(*nominal_circuit, options, workspace);
-  result.nominal_seconds = now_seconds() - t0;
-
-  t0 = now_seconds();
-  // Per-cell generation is independent (the RNG stream is derived from the
-  // flat index, each iteration writes only its own slot, and the nominal
-  // result is read-only), so the cells fan out across the pool, one thread
-  // per CPU the process may use; the per-trap parallelism inside
-  // generate_device_rtn degrades to serial on pool threads. Bit-identical
-  // for any thread count.
-  result.rtn.traces.resize(config.rows * config.cols);
-  util::parallel_for_indexed(
-      config.rows * config.cols,
-      [&](std::size_t flat) {
-        const std::size_t r = flat / config.cols;
-        const std::size_t c = flat % config.cols;
-        auto* mosfet = build.cells[flat].mosfet(5);
-        spice::DeviceRtnTrace trace;
-        trace.device = array_cell_prefix(r, c) + "M5";
-
-        const auto& tech = mosfet->model().tech();
-        const physics::SrhModel srh(tech);
-        util::Rng rng(seed + 1000 * flat + 5);
-        util::Rng profile_rng = rng.split(101);
-        trace.traps = physics::sample_trap_profile(
-            tech, mosfet->model().geometry(), profile_rng);
-
-        core::Pwl v_gs, i_d;
-        spice::extract_device_bias(result.rtn.nominal, *nominal_circuit,
-                                   *mosfet, v_gs, i_d);
-        const physics::MosDevice equivalent(tech, physics::MosType::kNmos,
-                                            mosfet->model().geometry());
-        core::RtnGeneratorOptions gen;
-        gen.t0 = options.t_start;
-        gen.tf = options.t_stop;
-        gen.amplitude_scale = rtn_scale;
-        util::Rng trap_rng = rng.split(977);
-        auto device_rtn = core::generate_device_rtn(
-            srh, equivalent, trace.traps, v_gs, i_d, trap_rng, gen);
-        trace.n_filled = std::move(device_rtn.n_filled);
-        trace.i_rtn = std::move(device_rtn.i_rtn);
-        trace.stats = device_rtn.stats;
-        result.rtn.traces[flat] = std::move(trace);
-      },
-      std::min(util::ThreadPool::shared().worker_count() + 1,
-               util::available_cpus()));
-  result.generation_seconds = now_seconds() - t0;
-
-  t0 = now_seconds();
-  auto rtn_circuit = std::make_unique<spice::Circuit>();
-  Array2dBuild rtn_build = build_circuit(*rtn_circuit);
-  for (std::size_t flat = 0; flat < result.rtn.traces.size(); ++flat) {
-    const auto& trace = result.rtn.traces[flat];
-    auto* mosfet = rtn_build.cells[flat].mosfet(5);
-    auto& source = rtn_circuit->add<spice::CurrentSource>(
-        "Irtn_" + trace.device, mosfet->drain(), mosfet->source(),
-        trace.i_rtn.scaled(-1.0));
-    // Grid-sampled injection: R*C streams of trap corners must not each
-    // become breakpoints, or the step count scales with the array's total
-    // transition count (see the fixed-grid note above).
-    source.set_emit_breakpoints(false);
+  // One RTN stream per cell, on the M5 pull-down (the paper's
+  // read-margin-critical device), seeded by the flat cell index.
+  std::vector<spice::RtnRequest> requests(config.rows * config.cols);
+  for (std::size_t flat = 0; flat < requests.size(); ++flat) {
+    requests[flat].device =
+        array_cell_prefix(flat / config.cols, flat % config.cols) + "M5";
+    requests[flat].scale = rtn_scale;
+    requests[flat].seed = seed + 1000 * flat + 5;
   }
-  result.rtn.with_rtn = spice::transient(*rtn_circuit, options, workspace);
-  result.injected_seconds = now_seconds() - t0;
+  // Grid-sampled injection: R*C streams of trap corners must not each
+  // become breakpoints, or the step count scales with the array's total
+  // transition count (see the fixed-grid note above).
+  spice::RtnPipelineOptions pipeline;
+  pipeline.emit_breakpoints = false;
 
+  Array2dRtnResult result;
+  Array2dBuild build;  // node names, identical for both factory calls
+  result.rtn = spice::run_rtn_transient(
+      [&] {
+        auto circuit = std::make_unique<spice::Circuit>();
+        build = build_array2d(*circuit, config);
+        return circuit;
+      },
+      options, requests, pipeline);
   result.nominal_report = check_array2d(result.rtn.nominal, config, build);
-  result.rtn_report = check_array2d(result.rtn.with_rtn, config, rtn_build);
+  result.rtn_report = check_array2d(result.rtn.with_rtn, config, build);
   return result;
 }
 

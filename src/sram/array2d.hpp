@@ -103,21 +103,16 @@ spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
                                           double tolerance = 0.0);
 
 struct Array2dRtnResult {
-  spice::RtnTransientResult rtn;  ///< nominal + injected transients
+  /// Nominal + injected transients, traces and the phase timers.
+  spice::RtnTransientResult rtn;
   Array2dReport nominal_report;
   Array2dReport rtn_report;
-  // Wall-clock phase split, measured inside the run so benches can gate
-  // the injected transient (the partitioned solve) separately from RTN
-  // trace generation.
-  double nominal_seconds = 0.0;
-  double generation_seconds = 0.0;
-  double injected_seconds = 0.0;
 };
 
 /// Run the array nominally and with SAMURAI RTN injected into every
-/// cell's M5 pull-down (amplitude-scaled): the two-pass methodology of
-/// run_rtn_transient with per-phase wall timing. A non-null `activity`
-/// runs both transients activity-partitioned.
+/// cell's M5 pull-down (amplitude-scaled) through run_rtn_transient, with
+/// grid-sampled injection. A non-null `activity` runs both transients
+/// activity-partitioned.
 Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
                                  std::uint64_t seed, double rtn_scale,
                                  const spice::ActivityPartition* activity = nullptr);

@@ -281,16 +281,11 @@ ColumnRtnResult run_column_rtn(const ColumnConfig& config, std::uint64_t seed,
   }
 
   ColumnRtnResult result;
-  ColumnBuild build;  // filled by the first factory invocation
-  bool first = true;
+  ColumnBuild build;  // node names, identical for both factory calls
   result.rtn = spice::run_rtn_transient(
-      [&config, &build, &first] {
+      [&] {
         auto circuit = std::make_unique<spice::Circuit>();
-        auto this_build = build_column(*circuit, config);
-        if (first) {
-          build = std::move(this_build);
-          first = false;
-        }
+        build = build_column(*circuit, config);
         return circuit;
       },
       options, requests);

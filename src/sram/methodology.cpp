@@ -1,12 +1,9 @@
 #include "sram/methodology.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <memory>
 #include <stdexcept>
 
-#include "physics/srh_model.hpp"
 #include "spice/rtn_integration.hpp"
-#include "util/rng.hpp"
 
 namespace samurai::sram {
 
@@ -30,18 +27,20 @@ void attach_sources(spice::Circuit& circuit, const SramCellHandles& handles,
                                     spice::kGround, pattern.blb);
 }
 
+/// `prefix` is the cell's node prefix (build_6t_cell names its nodes
+/// prefix + "q", "qb", ...), so the options exist before the circuit does.
 spice::TransientOptions make_transient_options(const MethodologyConfig& config,
                                                const PatternWaveforms& pattern,
-                                               const SramCellHandles& handles) {
+                                               const std::string& prefix) {
   spice::TransientOptions options = config.transient;
   options.t_start = 0.0;
   options.t_stop = pattern.t_end;
   if (options.dt_max <= 0.0) options.dt_max = config.timing.period / 40.0;
-  options.dc.nodeset[handles.q] = 0.0;
-  options.dc.nodeset[handles.qb] = config.tech.v_dd;
-  options.dc.nodeset[handles.vdd] = config.tech.v_dd;
-  options.dc.nodeset[handles.bl] = config.tech.v_dd;
-  options.dc.nodeset[handles.blb] = config.tech.v_dd;
+  options.dc.nodeset[prefix + "q"] = 0.0;
+  options.dc.nodeset[prefix + "qb"] = config.tech.v_dd;
+  options.dc.nodeset[prefix + "vdd"] = config.tech.v_dd;
+  options.dc.nodeset[prefix + "bl"] = config.tech.v_dd;
+  options.dc.nodeset[prefix + "blb"] = config.tech.v_dd;
   return options;
 }
 
@@ -71,7 +70,7 @@ NominalRun run_nominal(const MethodologyConfig& config,
   run.handles = build_6t_cell(circuit, config.tech, config.sizing, prefix,
                               config.vth_shifts);
   attach_sources(circuit, run.handles, run.pattern, config.tech.v_dd, prefix);
-  const auto options = make_transient_options(config, run.pattern, run.handles);
+  const auto options = make_transient_options(config, run.pattern, prefix);
   run.result = spice::transient(circuit, options, workspace);
   return run;
 }
@@ -104,7 +103,7 @@ NominalBatchRun run_nominal_batch(std::span<const MethodologyConfig> configs,
   run.q_node = handles.q;
   run.qb_node = handles.qb;
 
-  auto options = make_transient_options(head, run.pattern, handles);
+  auto options = make_transient_options(head, run.pattern, "");
   options.fixed_grid = true;
   run.results = spice::transient_batch(lanes, options, workspace);
   return run;
@@ -112,23 +111,47 @@ NominalBatchRun run_nominal_batch(std::span<const MethodologyConfig> configs,
 
 MethodologyResult run_methodology(const MethodologyConfig& config) {
   MethodologyResult result;
-  // One workspace for both transients: the RTN-injected cell only adds
-  // current sources, so the MNA system size is identical and phase 3 reuses
-  // every solver buffer the nominal run allocated.
-  spice::NewtonWorkspace workspace;
-
-  // ---- Phase 1: nominal SPICE run, bias extraction. -----------------------
-  // The circuit must outlive bias extraction, so rebuild it here rather
-  // than delegating to run_nominal.
   result.pattern = build_pattern(config.ops, config.tech.v_dd, config.timing);
-  spice::Circuit nominal_circuit;
-  SramCellHandles handles = build_6t_cell(nominal_circuit, config.tech,
-                                          config.sizing, "", config.vth_shifts);
-  attach_sources(nominal_circuit, handles, result.pattern, config.tech.v_dd, "");
-  const auto transient_options =
-      make_transient_options(config, result.pattern, handles);
-  result.nominal = spice::transient(nominal_circuit, transient_options,
-                                    workspace);
+  SramCellHandles handles;
+  const auto build = [&] {
+    auto circuit = std::make_unique<spice::Circuit>();
+    handles = build_6t_cell(*circuit, config.tech, config.sizing, "",
+                            config.vth_shifts);
+    attach_sources(*circuit, handles, result.pattern, config.tech.v_dd, "");
+    return circuit;
+  };
+
+  // Traces for all six transistors, each on Rng(seed).split(m·101) for its
+  // traps and split(m·977 + 13) for Algorithm 1; only the rtn_devices
+  // subset (all six when empty) is injected.
+  std::vector<spice::RtnRequest> requests(6);
+  for (int m = 1; m <= 6; ++m) {
+    auto& request = requests[static_cast<std::size_t>(m - 1)];
+    request.device = "M" + std::to_string(m);
+    request.scale = config.rtn_scale;
+    request.seed = config.seed;
+    request.profile_stream = static_cast<std::uint64_t>(m) * 101;
+    request.trap_stream = static_cast<std::uint64_t>(m) * 977 + 13;
+    request.inject = config.rtn_devices.empty() ||
+                     config.rtn_devices.count(request.device) != 0;
+  }
+  spice::RtnPipelineOptions pipeline;
+  pipeline.generator.uniformisation = config.uniformisation;
+  pipeline.profile = config.profile;
+  pipeline.keep_bias = true;
+
+  auto run = spice::run_rtn_transient(
+      build, make_transient_options(config, result.pattern, ""), requests,
+      pipeline);
+  result.nominal = std::move(run.nominal);
+  result.with_rtn = std::move(run.with_rtn);
+  result.rtn.reserve(run.traces.size());
+  for (auto& trace : run.traces) {
+    result.rtn.push_back({std::move(trace.device), std::move(trace.traps),
+                          std::move(trace.v_gs), std::move(trace.i_d),
+                          std::move(trace.n_filled), std::move(trace.i_rtn),
+                          trace.stats});
+  }
   result.q_node = handles.q;
   result.qb_node = handles.qb;
 
@@ -136,68 +159,8 @@ MethodologyResult run_methodology(const MethodologyConfig& config) {
   detector.v_dd = config.tech.v_dd;
   result.nominal_report =
       check_pattern(result.nominal.voltage(handles.q), result.pattern, detector);
-
-  // ---- Phase 2: SAMURAI per transistor. -----------------------------------
-  const physics::SrhModel srh(config.tech);
-  util::Rng rng(config.seed);
-  result.rtn.reserve(6);
-  for (int m = 1; m <= 6; ++m) {
-    const std::string name = "M" + std::to_string(m);
-    const spice::Mosfet* mosfet = handles.mosfet(m);
-    TransistorRtn entry;
-    entry.name = name;
-
-    util::Rng profile_rng = rng.split(static_cast<std::uint64_t>(m) * 101);
-    entry.traps = physics::sample_trap_profile(
-        config.tech, transistor_geometry(config.tech, config.sizing, m),
-        profile_rng, config.profile);
-
-    extract_bias(result.nominal, nominal_circuit, *mosfet, entry.v_gs,
-                 entry.i_d);
-
-    // Trap statistics and Eq. 3 use an NMOS-equivalent device so the
-    // extracted (positive-when-on) bias feeds both consistently.
-    physics::MosDevice equivalent(config.tech, physics::MosType::kNmos,
-                                  mosfet->model().geometry());
-    core::RtnGeneratorOptions gen;
-    gen.t0 = 0.0;
-    gen.tf = result.pattern.t_end;
-    gen.amplitude_scale = config.rtn_scale;
-    gen.uniformisation = config.uniformisation;
-    util::Rng trap_rng = rng.split(static_cast<std::uint64_t>(m) * 977 + 13);
-    auto device_rtn = core::generate_device_rtn(srh, equivalent, entry.traps,
-                                                entry.v_gs, entry.i_d,
-                                                trap_rng, gen);
-    entry.n_filled = std::move(device_rtn.n_filled);
-    entry.i_rtn = std::move(device_rtn.i_rtn);
-    entry.stats = device_rtn.stats;
-    result.rtn.push_back(std::move(entry));
-  }
-
-  // ---- Phase 3: re-simulate with I_RTN injected. --------------------------
-  spice::Circuit rtn_circuit;
-  SramCellHandles rtn_handles = build_6t_cell(rtn_circuit, config.tech,
-                                              config.sizing, "",
-                                              config.vth_shifts);
-  attach_sources(rtn_circuit, rtn_handles, result.pattern, config.tech.v_dd, "");
-  for (int m = 1; m <= 6; ++m) {
-    const auto& entry = result.rtn[static_cast<std::size_t>(m - 1)];
-    if (!config.rtn_devices.empty() &&
-        config.rtn_devices.count(entry.name) == 0) {
-      continue;
-    }
-    const spice::Mosfet* mosfet = rtn_handles.mosfet(m);
-    // Inject opposing the nominal channel current (paper Fig. 4 right):
-    // the trace is signed like I_d, so the negated source always bucks it.
-    rtn_circuit.add<spice::CurrentSource>("Irtn_" + entry.name,
-                                          mosfet->drain(), mosfet->source(),
-                                          entry.i_rtn.scaled(-1.0));
-  }
-  result.with_rtn = spice::transient(rtn_circuit, transient_options, workspace);
-
-  // ---- Phase 4: detection. -------------------------------------------------
-  result.rtn_report = check_pattern(result.with_rtn.voltage(rtn_handles.q),
-                                    result.pattern, detector);
+  result.rtn_report =
+      check_pattern(result.with_rtn.voltage(handles.q), result.pattern, detector);
   return result;
 }
 

@@ -210,9 +210,9 @@ TEST(Array2d, RtnRunReportsPhasesAndOutcomes) {
   for (const auto& trace : result.rtn.traces) {
     EXPECT_FALSE(trace.device.empty());
   }
-  EXPECT_GT(result.nominal_seconds, 0.0);
-  EXPECT_GE(result.generation_seconds, 0.0);
-  EXPECT_GT(result.injected_seconds, 0.0);
+  EXPECT_GT(result.rtn.nominal_seconds, 0.0);
+  EXPECT_GE(result.rtn.generation_seconds, 0.0);
+  EXPECT_GT(result.rtn.injected_seconds, 0.0);
   ASSERT_EQ(result.nominal_report.reads.size(), 2u);
   for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(result.rtn_report.reads[i].sensed,

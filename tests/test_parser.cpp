@@ -195,6 +195,52 @@ M1 d g 0 0 nfet W=200n L=90n
                ParseError);
 }
 
+/// `.rtn` card text on line 4 of a one-MOSFET deck.
+std::string rtn_deck(const std::string& card) {
+  return "rtn card\nVg g 0 DC 1.0\nM1 g g 0 0 nfet W=200n L=90n\n" + card +
+         "\n.model nfet nmos node=90nm\n.tran 10p 2n\n.end\n";
+}
+
+void expect_parse_error_on_line(const std::string& deck, std::size_t line) {
+  try {
+    parse_netlist(deck);
+    ADD_FAILURE() << "no ParseError for:\n" << deck;
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), line) << e.what();
+  }
+}
+
+TEST(Parser, RtnSeedMustBeAnUnsigned64BitInteger) {
+  EXPECT_EQ(parse_netlist(rtn_deck(".rtn M1 seed=18446744073709551615"))
+                .rtn_requests[0]
+                .seed,
+            18446744073709551615u);
+  for (const char* seed : {"-3", "1e30", "7.9", "18446744073709551616", "7k",
+                           "+7", "0x10", ""}) {
+    SCOPED_TRACE(seed);
+    expect_parse_error_on_line(rtn_deck(std::string(".rtn M1 seed=") + seed), 4);
+  }
+}
+
+TEST(Parser, RtnScaleMustBeFinite) {
+  EXPECT_DOUBLE_EQ(
+      parse_netlist(rtn_deck(".rtn M1 scale=2k")).rtn_requests[0].scale, 2e3);
+  for (const char* scale : {"nan", "inf", "-inf", "1e400", "bogus"}) {
+    SCOPED_TRACE(scale);
+    expect_parse_error_on_line(rtn_deck(std::string(".rtn M1 scale=") + scale),
+                               4);
+  }
+}
+
+TEST(Parser, RtnCardRepeatedForADeviceIsRejected) {
+  // A second card would add a second Irtn source and double the injection.
+  const std::string deck =
+      "rtn card\nVg g 0 DC 1.0\nM1 g g 0 0 nfet W=200n L=90n\n"
+      ".rtn M1 seed=1\n.model nfet nmos node=90nm\n.rtn M1 seed=2\n"
+      ".tran 10p 2n\n.end\n";
+  expect_parse_error_on_line(deck, 6);
+}
+
 TEST(RtnIntegration, NetlistRtnFlowProducesTraces) {
   // A common-source stage at constant bias with RTN on its transistor:
   // both runs must complete, traces must carry traps, and the output node
