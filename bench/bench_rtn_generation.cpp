@@ -101,18 +101,17 @@ void run_batch(const std::vector<core::DeviceRtnWorkload>& workloads,
 
 void print_mode_json(const char* key, const ModeReport& r,
                      std::size_t total_traps) {
+  std::printf("\"%s\": {\"ms_per_pass\": %.4f", key, r.ms_per_pass);
+  for (const auto& c : core::kUniformisationCounts) {
+    std::printf(", \"%s\": %llu", c.key,
+                static_cast<unsigned long long>(r.stats.*c.field));
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    std::printf(", \"%s\": %.6e", c.key, r.stats.*c.field);
+  }
   std::printf(
-      "\"%s\": {\"ms_per_pass\": %.4f, \"candidates\": %llu, "
-      "\"accepted\": %llu, \"segments\": %llu, \"rng_refills\": %llu, "
-      "\"envelope_integral\": %.6e, \"fixed_bound_integral\": %.6e, "
-      "\"envelope_efficiency\": %.3f, \"candidates_per_sec\": %.3e, "
+      ", \"envelope_efficiency\": %.3f, \"candidates_per_sec\": %.3e, "
       "\"candidates_per_trap_sec\": %.3e}",
-      key, r.ms_per_pass,
-      static_cast<unsigned long long>(r.stats.candidates),
-      static_cast<unsigned long long>(r.stats.accepted),
-      static_cast<unsigned long long>(r.stats.segments),
-      static_cast<unsigned long long>(r.stats.rng_refills),
-      r.stats.envelope_integral, r.stats.fixed_bound_integral,
       r.stats.envelope_efficiency(), r.candidates_per_sec,
       r.candidates_per_sec / static_cast<double>(total_traps));
 }

@@ -327,50 +327,28 @@ ArrayRtnEntry bench_array_rtn(std::size_t rows, std::size_t cols,
   return entry;
 }
 
+/// Every solver counter as `, "key": value`, in table order.
+void print_counters(const spice::SolverStats& stats) {
+  for (const auto& c : spice::kSolverCounters) {
+    std::printf(", \"%s\": %llu", c.key,
+                static_cast<unsigned long long>(stats.*c.field));
+  }
+}
+
 void print_stats_json(const char* key, const ModeReport& r) {
-  std::printf(
-      "\"%s\": {\"ms_per_run\": %.4f, \"points\": %zu, "
-      "\"newton_iterations\": %llu, \"lu_factorizations\": %llu, "
-      "\"lu_solves\": %llu, \"bypass_hits\": %llu, \"device_loads\": %llu, "
-      "\"linear_cache_hits\": %llu, \"steps_accepted\": %llu, "
-      "\"steps_rejected\": %llu, \"workspace_allocations\": %llu, "
-      "\"sp_symbolic_analyses\": %llu, \"sp_numeric_refactors\": %llu, "
-      "\"sp_solves\": %llu, \"ap_elided_loads\": %llu, "
-      "\"ap_partial_refactors\": %llu, \"ap_rows_skipped\": %llu, "
-      "\"ap_folded_cells\": %llu}",
-      key, r.ms_per_run, r.points,
-      static_cast<unsigned long long>(r.stats.newton_iterations),
-      static_cast<unsigned long long>(r.stats.lu_factorizations),
-      static_cast<unsigned long long>(r.stats.lu_solves),
-      static_cast<unsigned long long>(r.stats.bypass_hits),
-      static_cast<unsigned long long>(r.stats.device_loads),
-      static_cast<unsigned long long>(r.stats.linear_cache_hits),
-      static_cast<unsigned long long>(r.stats.steps_accepted),
-      static_cast<unsigned long long>(r.stats.steps_rejected),
-      static_cast<unsigned long long>(r.stats.workspace_allocations),
-      static_cast<unsigned long long>(r.stats.sp_symbolic_analyses),
-      static_cast<unsigned long long>(r.stats.sp_numeric_refactors),
-      static_cast<unsigned long long>(r.stats.sp_solves),
-      static_cast<unsigned long long>(r.stats.ap_elided_loads),
-      static_cast<unsigned long long>(r.stats.ap_partial_refactors),
-      static_cast<unsigned long long>(r.stats.ap_rows_skipped),
-      static_cast<unsigned long long>(r.stats.ap_folded_cells));
+  std::printf("\"%s\": {\"ms_per_run\": %.4f, \"points\": %zu", key,
+              r.ms_per_run, r.points);
+  print_counters(r.stats);
+  std::printf("}");
 }
 
 void print_array_column_json(const char* key, const ArrayColumnMode& m) {
   std::printf(
       "\"%s\": {\"cold_ms\": %.2f, \"steady_ms\": %.3f, \"points\": %zu, "
-      "\"lu_fill_nnz\": %zu, \"newton_iterations\": %llu, "
-      "\"sp_numeric_refactors\": %llu, \"ap_elided_loads\": %llu, "
-      "\"ap_partial_refactors\": %llu, \"ap_rows_skipped\": %llu, "
-      "\"ap_folded_cells\": %llu}",
-      key, m.cold_ms, m.steady_ms, m.points, m.fill,
-      static_cast<unsigned long long>(m.stats.newton_iterations),
-      static_cast<unsigned long long>(m.stats.sp_numeric_refactors),
-      static_cast<unsigned long long>(m.stats.ap_elided_loads),
-      static_cast<unsigned long long>(m.stats.ap_partial_refactors),
-      static_cast<unsigned long long>(m.stats.ap_rows_skipped),
-      static_cast<unsigned long long>(m.stats.ap_folded_cells));
+      "\"lu_fill_nnz\": %zu",
+      key, m.cold_ms, m.steady_ms, m.points, m.fill);
+  print_counters(m.stats);
+  std::printf("}");
 }
 
 }  // namespace
@@ -536,13 +514,10 @@ int main(int argc, char** argv) {
   std::printf(", ");
   print_stats_json("reference", c_slow);
   std::printf("}, \"batched\": {\"lanes\": %zu, \"ms_per_lane\": %.4f, "
-              "\"speedup_vs_adaptive\": %.3f, \"points\": %zu, "
-              "\"bt_batches\": %llu, \"bt_lanes\": %llu, \"bt_steps\": %llu}",
-              bt.lanes, bt.ms_per_lane, bt_speedup, bt.points,
-              static_cast<unsigned long long>(bt.stats.bt_batches),
-              static_cast<unsigned long long>(bt.stats.bt_lanes),
-              static_cast<unsigned long long>(bt.stats.bt_steps));
-  std::printf(", \"columns\": [");
+              "\"speedup_vs_adaptive\": %.3f, \"points\": %zu",
+              bt.lanes, bt.ms_per_lane, bt_speedup, bt.points);
+  print_counters(bt.stats);
+  std::printf("}, \"columns\": [");
   for (std::size_t i = 0; i < columns.size(); ++i) {
     const auto& entry = columns[i];
     std::printf("%s{\"cells\": %zu, \"speedup\": %.3f, ", i ? ", " : "",
@@ -565,18 +540,14 @@ int main(int argc, char** argv) {
               "\"activity\": \"%s\", \"traces\": %zu, "
               "\"nominal_seconds\": %.3f, \"generation_seconds\": %.3f, "
               "\"injected_seconds\": %.3f, \"nominal_ok\": %s, "
-              "\"rtn_ok\": %s, \"min_sense_margin\": %.4f, "
-              "\"newton_iterations\": %llu, \"ap_elided_loads\": %llu, "
-              "\"ap_rows_skipped\": %llu, \"ap_folded_cells\": %llu}}}\n",
+              "\"rtn_ok\": %s, \"min_sense_margin\": %.4f",
               rtn.rows, rtn.cols,
               spice::activity_mode_to_string(array_mode).c_str(), rtn.traces,
               rtn.nominal_s, rtn.generation_s, rtn.injected_s,
               rtn.nominal_ok ? "true" : "false", rtn.rtn_ok ? "true" : "false",
-              rtn.min_margin,
-              static_cast<unsigned long long>(rtn.stats.newton_iterations),
-              static_cast<unsigned long long>(rtn.stats.ap_elided_loads),
-              static_cast<unsigned long long>(rtn.stats.ap_rows_skipped),
-              static_cast<unsigned long long>(rtn.stats.ap_folded_cells));
+              rtn.min_margin);
+  print_counters(rtn.stats);
+  std::printf("}}}\n");
 
   // Contract checks (these make the ctest registration meaningful).
   // 1. The steady-state repetition loop must be allocation-free.

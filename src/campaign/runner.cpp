@@ -187,32 +187,7 @@ void CampaignResult::write_fields(JsonWriter& json) const {
                                ? weighted.failures
                                : fails.successes);
   json.add("wall_seconds", wall_seconds);
-  json.add_u64("nw_iterations", solver.newton_iterations);
-  json.add_u64("nw_factorizations", solver.lu_factorizations);
-  json.add_u64("nw_solves", solver.lu_solves);
-  json.add_u64("nw_bypass_hits", solver.bypass_hits);
-  json.add_u64("nw_device_loads", solver.device_loads);
-  json.add_u64("nw_cache_hits", solver.linear_cache_hits);
-  json.add_u64("nw_steps_accepted", solver.steps_accepted);
-  json.add_u64("nw_steps_rejected", solver.steps_rejected);
-  json.add_u64("nw_transients", solver.transients);
-  json.add_u64("nw_workspace_allocations", solver.workspace_allocations);
-  json.add_u64("sp_symbolic_analyses", solver.sp_symbolic_analyses);
-  json.add_u64("sp_numeric_refactors", solver.sp_numeric_refactors);
-  json.add_u64("sp_solves", solver.sp_solves);
-  json.add_u64("bt_batches", solver.bt_batches);
-  json.add_u64("bt_lanes", solver.bt_lanes);
-  json.add_u64("bt_steps", solver.bt_steps);
-  json.add_u64("ap_elided_loads", solver.ap_elided_loads);
-  json.add_u64("ap_partial_refactors", solver.ap_partial_refactors);
-  json.add_u64("ap_rows_skipped", solver.ap_rows_skipped);
-  json.add_u64("ap_folded_cells", solver.ap_folded_cells);
-  json.add_u64("rtn_candidates", rtn.candidates);
-  json.add_u64("rtn_accepted", rtn.accepted);
-  json.add_u64("rtn_segments", rtn.segments);
-  json.add_u64("rtn_rng_refills", rtn.rng_refills);
-  json.add("rtn_envelope_integral", rtn.envelope_integral);
-  json.add("rtn_fixed_bound_integral", rtn.fixed_bound_integral);
+  write_counters(json, solver, rtn);
   json.add("rtn_envelope_efficiency", rtn.envelope_efficiency());
 }
 

@@ -86,11 +86,19 @@ void print_watch(std::ostream& out, const ServiceStatus& status) {
         << (observed.expired ? ", EXPIRED" : "") << ", "
         << observed.lease.heartbeats << " heartbeats)\n";
   }
-  out << "  nw_iterations " << result.solver.newton_iterations
-      << "  sp_solves " << result.solver.sp_solves << "  bt_batches "
-      << result.solver.bt_batches << "  rtn_candidates "
-      << result.rtn.candidates << "  reclaimed " << status.leases_reclaimed
-      << "\n";
+  const auto print = [&out](const char* key, auto value) {
+    if (value != 0) out << "  " << key << " " << value;
+  };
+  for (const auto& c : spice::kSolverCounters) {
+    print(c.key, result.solver.*c.field);
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    print(c.key, result.rtn.*c.field);
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    print(c.key, result.rtn.*c.field);
+  }
+  out << "  reclaimed " << status.leases_reclaimed << "\n";
 }
 
 }  // namespace

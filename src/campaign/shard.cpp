@@ -193,6 +193,19 @@ ShardResult run_shard(const Manifest& manifest, const ShardSpec& spec) {
   return result;
 }
 
+void write_counters(JsonWriter& json, const spice::SolverStats& solver,
+                    const core::UniformisationStats& rtn) {
+  for (const auto& c : spice::kSolverCounters) {
+    json.add_u64(c.key, solver.*c.field);
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    json.add_u64(c.key, rtn.*c.field);
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    json.add(c.key, rtn.*c.field);
+  }
+}
+
 std::string ShardResult::to_json() const {
   JsonWriter json;
   json.add_u64("shard", index);
@@ -216,32 +229,7 @@ std::string ShardResult::to_json() const {
   json.add("value_mean", value.mean);
   json.add("value_m2", value.m2);
   json.add("wall_seconds", wall_seconds);
-  json.add_u64("nw_iterations", solver.newton_iterations);
-  json.add_u64("nw_factorizations", solver.lu_factorizations);
-  json.add_u64("nw_solves", solver.lu_solves);
-  json.add_u64("nw_bypass_hits", solver.bypass_hits);
-  json.add_u64("nw_device_loads", solver.device_loads);
-  json.add_u64("nw_cache_hits", solver.linear_cache_hits);
-  json.add_u64("nw_steps_accepted", solver.steps_accepted);
-  json.add_u64("nw_steps_rejected", solver.steps_rejected);
-  json.add_u64("nw_transients", solver.transients);
-  json.add_u64("nw_workspace_allocations", solver.workspace_allocations);
-  json.add_u64("sp_symbolic_analyses", solver.sp_symbolic_analyses);
-  json.add_u64("sp_numeric_refactors", solver.sp_numeric_refactors);
-  json.add_u64("sp_solves", solver.sp_solves);
-  json.add_u64("bt_batches", solver.bt_batches);
-  json.add_u64("bt_lanes", solver.bt_lanes);
-  json.add_u64("bt_steps", solver.bt_steps);
-  json.add_u64("ap_elided_loads", solver.ap_elided_loads);
-  json.add_u64("ap_partial_refactors", solver.ap_partial_refactors);
-  json.add_u64("ap_rows_skipped", solver.ap_rows_skipped);
-  json.add_u64("ap_folded_cells", solver.ap_folded_cells);
-  json.add_u64("rtn_candidates", rtn.candidates);
-  json.add_u64("rtn_accepted", rtn.accepted);
-  json.add_u64("rtn_segments", rtn.segments);
-  json.add_u64("rtn_rng_refills", rtn.rng_refills);
-  json.add("rtn_envelope_integral", rtn.envelope_integral);
-  json.add("rtn_fixed_bound_integral", rtn.fixed_bound_integral);
+  write_counters(json, solver, rtn);
   return json.str();
 }
 
@@ -267,44 +255,17 @@ ShardResult ShardResult::from_json(const std::string& line) {
   result.value.mean = json.get_double("value_mean", 0.0);
   result.value.m2 = json.get_double("value_m2", 0.0);
   result.wall_seconds = json.get_double("wall_seconds", 0.0);
-  // Solver counters default to zero so pre-counter ledgers still parse.
-  result.solver.newton_iterations = json.get_u64("nw_iterations", 0);
-  result.solver.lu_factorizations = json.get_u64("nw_factorizations", 0);
-  result.solver.lu_solves = json.get_u64("nw_solves", 0);
-  result.solver.bypass_hits = json.get_u64("nw_bypass_hits", 0);
-  result.solver.device_loads = json.get_u64("nw_device_loads", 0);
-  result.solver.linear_cache_hits = json.get_u64("nw_cache_hits", 0);
-  result.solver.steps_accepted = json.get_u64("nw_steps_accepted", 0);
-  result.solver.steps_rejected = json.get_u64("nw_steps_rejected", 0);
-  result.solver.transients = json.get_u64("nw_transients", 0);
-  result.solver.workspace_allocations =
-      json.get_u64("nw_workspace_allocations", 0);
-  // Sparse-engine counters arrived after the nw_* block; zero-defaulting
-  // keeps dense-era ledgers parseable (their sparse share really is zero).
-  result.solver.sp_symbolic_analyses = json.get_u64("sp_symbolic_analyses", 0);
-  result.solver.sp_numeric_refactors =
-      json.get_u64("sp_numeric_refactors", 0);
-  result.solver.sp_solves = json.get_u64("sp_solves", 0);
-  // Batched-engine counters default to zero so scalar-era ledgers still
-  // parse (their batched share really is zero).
-  result.solver.bt_batches = json.get_u64("bt_batches", 0);
-  result.solver.bt_lanes = json.get_u64("bt_lanes", 0);
-  result.solver.bt_steps = json.get_u64("bt_steps", 0);
-  // Activity-partition counters default to zero so unpartitioned-era
-  // ledgers still parse (their partitioned share really is zero).
-  result.solver.ap_elided_loads = json.get_u64("ap_elided_loads", 0);
-  result.solver.ap_partial_refactors =
-      json.get_u64("ap_partial_refactors", 0);
-  result.solver.ap_rows_skipped = json.get_u64("ap_rows_skipped", 0);
-  result.solver.ap_folded_cells = json.get_u64("ap_folded_cells", 0);
-  // Sampler counters default to zero so pre-counter ledgers still parse.
-  result.rtn.candidates = json.get_u64("rtn_candidates", 0);
-  result.rtn.accepted = json.get_u64("rtn_accepted", 0);
-  result.rtn.segments = json.get_u64("rtn_segments", 0);
-  result.rtn.rng_refills = json.get_u64("rtn_rng_refills", 0);
-  result.rtn.envelope_integral = json.get_double("rtn_envelope_integral", 0.0);
-  result.rtn.fixed_bound_integral =
-      json.get_double("rtn_fixed_bound_integral", 0.0);
+  // A missing counter reads as zero, so ledgers written before it existed
+  // keep parsing.
+  for (const auto& c : spice::kSolverCounters) {
+    result.solver.*c.field = json.get_u64(c.key, 0);
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    result.rtn.*c.field = json.get_u64(c.key, 0);
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    result.rtn.*c.field = json.get_double(c.key, 0.0);
+  }
   return result;
 }
 

@@ -23,6 +23,13 @@
 
 namespace samurai::campaign {
 
+class JsonWriter;
+
+/// Appends every solver and sampler counter under its table key, in table
+/// order: the `nw_`…`rtn_` block of ledger lines and summaries.
+void write_counters(JsonWriter& json, const spice::SolverStats& solver,
+                    const core::UniformisationStats& rtn);
+
 struct ShardSpec {
   std::uint64_t index = 0;  ///< shard number
   std::uint64_t first = 0;  ///< first global sample index

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -10,83 +9,41 @@ namespace samurai::core {
 
 // ------------------------------------------------------------------ stats
 
-#define SAMURAI_UNI_STAT_U64_FIELDS(X) \
-  X(candidates)                        \
-  X(accepted)                          \
-  X(segments)                          \
-  X(rng_refills)
-
-#define SAMURAI_UNI_STAT_DOUBLE_FIELDS(X) \
-  X(envelope_integral)                    \
-  X(fixed_bound_integral)
-
 double UniformisationStats::envelope_efficiency() const {
   if (!(envelope_integral > 0.0)) return 1.0;
   return fixed_bound_integral / envelope_integral;
 }
 
 void UniformisationStats::merge(const UniformisationStats& other) {
-#define X(field) field += other.field;
-  SAMURAI_UNI_STAT_U64_FIELDS(X)
-  SAMURAI_UNI_STAT_DOUBLE_FIELDS(X)
-#undef X
+  util::add_counters(kUniformisationCounts, *this, other);
+  util::add_counters(kUniformisationSums, *this, other);
 }
 
 UniformisationStats UniformisationStats::since(
     const UniformisationStats& other) const {
-  UniformisationStats delta;
-#define X(field) delta.field = field - other.field;
-  SAMURAI_UNI_STAT_U64_FIELDS(X)
-  SAMURAI_UNI_STAT_DOUBLE_FIELDS(X)
-#undef X
+  UniformisationStats delta = *this;
+  util::subtract_counters(kUniformisationCounts, delta, other);
+  util::subtract_counters(kUniformisationSums, delta, other);
   return delta;
 }
 
 namespace {
-
-void atomic_add(std::atomic<double>& target, double value) noexcept {
-  double current = target.load(std::memory_order_relaxed);
-  while (!target.compare_exchange_weak(current, current + value,
-                                       std::memory_order_relaxed)) {
-  }
-}
-
-struct AtomicUniformisationStats {
-#define X(field) std::atomic<std::uint64_t> field{0};
-  SAMURAI_UNI_STAT_U64_FIELDS(X)
-#undef X
-#define X(field) std::atomic<double> field{0.0};
-  SAMURAI_UNI_STAT_DOUBLE_FIELDS(X)
-#undef X
-};
-
-AtomicUniformisationStats& global_uniformisation_stats() {
-  static AtomicUniformisationStats stats;
-  return stats;
-}
-
+constinit util::CounterRegistry<std::uint64_t, kUniformisationCounts.size()>
+    g_counts;
+constinit util::CounterRegistry<double, kUniformisationSums.size()> g_sums;
 }  // namespace
 
 UniformisationStats uniformisation_stats_snapshot() {
-  auto& global = global_uniformisation_stats();
   UniformisationStats stats;
-#define X(field) stats.field = global.field.load(std::memory_order_relaxed);
-  SAMURAI_UNI_STAT_U64_FIELDS(X)
-  SAMURAI_UNI_STAT_DOUBLE_FIELDS(X)
-#undef X
+  util::load_counters(kUniformisationCounts, g_counts, stats);
+  util::load_counters(kUniformisationSums, g_sums, stats);
   return stats;
 }
 
 namespace detail {
 void uniformisation_stats_accumulate(const UniformisationStats& stats) {
-  auto& global = global_uniformisation_stats();
-#define X(field) \
-  global.field.fetch_add(stats.field, std::memory_order_relaxed);
-  SAMURAI_UNI_STAT_U64_FIELDS(X)
-#undef X
-#define X(field) atomic_add(global.field, stats.field);
-  SAMURAI_UNI_STAT_DOUBLE_FIELDS(X)
-#undef X
+  util::publish_counters(kUniformisationCounts, g_counts, stats);
+  util::publish_counters(kUniformisationSums, g_sums, stats);
 }
 }  // namespace detail
 

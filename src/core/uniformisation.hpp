@@ -23,6 +23,7 @@
 // `rate_bound` override) as the regression oracle.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -30,6 +31,7 @@
 #include "core/propensity.hpp"
 #include "core/trajectory.hpp"
 #include "physics/trap.hpp"
+#include "util/counters.hpp"
 #include "util/rng.hpp"
 
 namespace samurai::core {
@@ -57,6 +59,8 @@ struct UniformisationOptions {
 /// every simulate call (uniformisation_stats_snapshot) so the campaign
 /// runtime can attribute per-shard RTN-generation work without threading
 /// state through every sample type — same scheme as spice::SolverStats.
+/// A new counter is a field here plus a row in kUniformisationCounts or
+/// kUniformisationSums (DESIGN.md §18).
 struct UniformisationStats {
   std::uint64_t candidates = 0;   ///< thinning candidates drawn
   std::uint64_t accepted = 0;     ///< candidates that became transitions
@@ -78,6 +82,27 @@ struct UniformisationStats {
   /// Counter-wise `this - other` (for before/after snapshot deltas).
   UniformisationStats since(const UniformisationStats& other) const;
 };
+
+/// The integer UniformisationStats fields, in field order, under their
+/// ledger keys.
+inline constexpr auto kUniformisationCounts =
+    std::to_array<util::Counter<UniformisationStats, std::uint64_t>>({
+        {"rtn_candidates", &UniformisationStats::candidates},
+        {"rtn_accepted", &UniformisationStats::accepted},
+        {"rtn_segments", &UniformisationStats::segments},
+        {"rtn_rng_refills", &UniformisationStats::rng_refills},
+    });
+/// The floating-point UniformisationStats fields (integrals), likewise.
+inline constexpr auto kUniformisationSums =
+    std::to_array<util::Counter<UniformisationStats, double>>({
+        {"rtn_envelope_integral", &UniformisationStats::envelope_integral},
+        {"rtn_fixed_bound_integral",
+         &UniformisationStats::fixed_bound_integral},
+    });
+static_assert(sizeof(UniformisationStats) ==
+                  kUniformisationCounts.size() * sizeof(std::uint64_t) +
+                      kUniformisationSums.size() * sizeof(double),
+              "every UniformisationStats field needs a table row");
 
 /// Process-wide aggregate of every simulate call so far (atomic,
 /// thread-safe). Snapshot before/after a work region and diff with

@@ -1,7 +1,6 @@
 #include "spice/analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -13,67 +12,26 @@
 
 namespace samurai::spice {
 
-
-
 // ------------------------------------------------------------ SolverStats
 
-#define SAMURAI_SOLVER_STAT_FIELDS(X) \
-  X(newton_iterations)                \
-  X(lu_factorizations)                \
-  X(lu_solves)                        \
-  X(bypass_hits)                      \
-  X(device_loads)                     \
-  X(linear_cache_hits)                \
-  X(steps_accepted)                   \
-  X(steps_rejected)                   \
-  X(transients)                       \
-  X(workspace_allocations)            \
-  X(sp_symbolic_analyses)             \
-  X(sp_numeric_refactors)             \
-  X(sp_solves)                        \
-  X(bt_batches)                       \
-  X(bt_lanes)                         \
-  X(bt_steps)                         \
-  X(ap_elided_loads)                  \
-  X(ap_partial_refactors)             \
-  X(ap_rows_skipped)                  \
-  X(ap_folded_cells)
-
 void SolverStats::merge(const SolverStats& other) {
-#define X(field) field += other.field;
-  SAMURAI_SOLVER_STAT_FIELDS(X)
-#undef X
+  util::add_counters(kSolverCounters, *this, other);
 }
 
 SolverStats SolverStats::since(const SolverStats& other) const {
-  SolverStats delta;
-#define X(field) delta.field = field - other.field;
-  SAMURAI_SOLVER_STAT_FIELDS(X)
-#undef X
+  SolverStats delta = *this;
+  util::subtract_counters(kSolverCounters, delta, other);
   return delta;
 }
 
 namespace {
-
-struct AtomicSolverStats {
-#define X(field) std::atomic<std::uint64_t> field{0};
-  SAMURAI_SOLVER_STAT_FIELDS(X)
-#undef X
-};
-
-AtomicSolverStats& global_solver_stats() {
-  static AtomicSolverStats stats;
-  return stats;
-}
-
+constinit util::CounterRegistry<std::uint64_t, kSolverCounters.size()>
+    g_solver_stats;
 }  // namespace
 
 SolverStats solver_stats_snapshot() {
-  auto& global = global_solver_stats();
   SolverStats stats;
-#define X(field) stats.field = global.field.load(std::memory_order_relaxed);
-  SAMURAI_SOLVER_STAT_FIELDS(X)
-#undef X
+  util::load_counters(kSolverCounters, g_solver_stats, stats);
   return stats;
 }
 
@@ -98,11 +56,7 @@ std::string activity_mode_to_string(ActivityMode mode) {
 
 namespace detail {
 void solver_stats_accumulate(const SolverStats& stats) {
-  auto& global = global_solver_stats();
-#define X(field) \
-  global.field.fetch_add(stats.field, std::memory_order_relaxed);
-  SAMURAI_SOLVER_STAT_FIELDS(X)
-#undef X
+  util::publish_counters(kSolverCounters, g_solver_stats, stats);
 }
 }  // namespace detail
 
@@ -527,6 +481,16 @@ void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
   ws.ap_floors_valid_ = true;
 }
 
+namespace {
+// Newton convergence, damping and bypass constants (DESIGN.md §10).
+constexpr double kAbsTol = 1e-9;  ///< KCL residual tolerance, A
+constexpr double kVnTol = 1e-6;   ///< Newton update tolerance, V
+constexpr double kRelTol = 1e-4;  ///< relative branch-current tolerance
+constexpr double kDvLimit = 0.6;  ///< per-iteration voltage damping clamp, V
+/// Contraction of the scaled residual a stale-LU iteration must achieve.
+constexpr double kBypassContraction = 0.5;
+}  // namespace
+
 IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
                                                std::vector<double>& x,
                                                const NewtonOptions& options,
@@ -550,8 +514,8 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
     max_branch_residual =
         std::max(max_branch_residual, std::abs(ws.residual_[i]));
   }
-  const double scaled = std::max(max_residual / options.abstol,
-                                 max_branch_residual / options.vntol);
+  const double scaled = std::max(max_residual / kAbsTol,
+                                 max_branch_residual / kVnTol);
 
   // Residual-history judge for the modified-Newton bypass: score each
   // bypassed iteration by whether the residual actually contracted.
@@ -560,7 +524,7 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   // Newton iterations; once bad exceeds good by a margin, disable the
   // bypass for the remainder of this attach.
   if (ws.last_iter_bypassed_) {
-    const bool contracted = scaled < options.bypass_contraction * prev_scaled;
+    const bool contracted = scaled < kBypassContraction * prev_scaled;
     if (contracted) {
       ++ws.bypass_good_;
     } else {
@@ -578,7 +542,7 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   // MOSFET evaluations than the O(n^3) factorization it saves.
   const bool bypass = options.reuse_lu && ws.bypass_enabled_ &&
                       ws.lu_valid_ && iter > 0 &&
-                      scaled < options.bypass_contraction * prev_scaled;
+                      scaled < kBypassContraction * prev_scaled;
   ws.last_iter_bypassed_ = bypass;
   if (!bypass) {
     ++st.lu_factorizations;
@@ -651,14 +615,12 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
     max_di = std::max(max_di, std::abs(ws.delta_[i]));
     max_i = std::max(max_i, std::abs(x[i]));
   }
-  const double damp =
-      max_dv > options.dv_limit ? options.dv_limit / max_dv : 1.0;
+  const double damp = max_dv > kDvLimit ? kDvLimit / max_dv : 1.0;
   for (std::size_t i = 0; i < n; ++i) x[i] -= damp * ws.delta_[i];
 
-  const double itol = options.abstol + options.reltol * max_i;
-  if (damp == 1.0 && max_dv < options.vntol && max_di < itol &&
-      max_residual < options.abstol &&
-      max_branch_residual < options.vntol) {
+  const double itol = kAbsTol + kRelTol * max_i;
+  if (damp == 1.0 && max_dv < kVnTol && max_di < itol &&
+      max_residual < kAbsTol && max_branch_residual < kVnTol) {
     result.converged = true;
   }
   return result;

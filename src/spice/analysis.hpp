@@ -10,6 +10,7 @@
 // bypass). See DESIGN.md "The transient fast path".
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -19,13 +20,15 @@
 
 #include "core/waveform.hpp"
 #include "spice/circuit.hpp"
+#include "util/counters.hpp"
 
 namespace samurai::spice {
 
 /// Operation counters for one solve (DC or transient). Monotonic within a
 /// run; merged into the process-wide aggregate (solver_stats_snapshot) so
 /// the campaign runtime can report per-shard solver work without threading
-/// state through every sample type.
+/// state through every sample type. A new counter is a field here plus a
+/// row in kSolverCounters (DESIGN.md §18).
 struct SolverStats {
   std::uint64_t newton_iterations = 0;
   std::uint64_t lu_factorizations = 0;  ///< factorizations on either engine
@@ -67,6 +70,34 @@ struct SolverStats {
   /// Counter-wise `this - other` (for before/after deltas).
   SolverStats since(const SolverStats& other) const;
 };
+
+/// Every SolverStats field, in field order, under its ledger key.
+inline constexpr auto kSolverCounters =
+    std::to_array<util::Counter<SolverStats, std::uint64_t>>({
+        {"nw_iterations", &SolverStats::newton_iterations},
+        {"nw_factorizations", &SolverStats::lu_factorizations},
+        {"nw_solves", &SolverStats::lu_solves},
+        {"nw_bypass_hits", &SolverStats::bypass_hits},
+        {"nw_device_loads", &SolverStats::device_loads},
+        {"nw_cache_hits", &SolverStats::linear_cache_hits},
+        {"nw_steps_accepted", &SolverStats::steps_accepted},
+        {"nw_steps_rejected", &SolverStats::steps_rejected},
+        {"nw_transients", &SolverStats::transients},
+        {"nw_workspace_allocations", &SolverStats::workspace_allocations},
+        {"sp_symbolic_analyses", &SolverStats::sp_symbolic_analyses},
+        {"sp_numeric_refactors", &SolverStats::sp_numeric_refactors},
+        {"sp_solves", &SolverStats::sp_solves},
+        {"bt_batches", &SolverStats::bt_batches},
+        {"bt_lanes", &SolverStats::bt_lanes},
+        {"bt_steps", &SolverStats::bt_steps},
+        {"ap_elided_loads", &SolverStats::ap_elided_loads},
+        {"ap_partial_refactors", &SolverStats::ap_partial_refactors},
+        {"ap_rows_skipped", &SolverStats::ap_rows_skipped},
+        {"ap_folded_cells", &SolverStats::ap_folded_cells},
+    });
+static_assert(sizeof(SolverStats) ==
+                  kSolverCounters.size() * sizeof(std::uint64_t),
+              "every SolverStats field needs a row in kSolverCounters");
 
 /// Process-wide aggregate of every solve performed so far (atomic,
 /// thread-safe). Snapshot before/after a work region and diff with
@@ -243,19 +274,16 @@ class NewtonWorkspace {
   SolverStats stats_;
 };
 
+/// Newton's tolerances, damping clamp and bypass contraction are constants
+/// in analysis.cpp (DESIGN.md §10).
 struct NewtonOptions {
   int max_iterations = 200;
-  double abstol = 1e-9;   ///< KCL residual tolerance, A
-  double vntol = 1e-6;    ///< Newton update tolerance, V
-  double reltol = 1e-4;   ///< relative part of the branch-current check
-  double dv_limit = 0.6;  ///< per-iteration voltage damping clamp, V
   /// Modified-Newton LU reuse: within a solve, keep the previous
   /// iteration's factorization and re-solve against it while the scaled
-  /// residual contracts by at least `bypass_contraction` per iteration;
-  /// refactorize on stall or reject. The first iteration of each solve
-  /// always factors (a0 changes with the adaptive step size).
+  /// residual contracts by at least half per iteration; refactorize on
+  /// stall or reject. The first iteration of each solve always factors
+  /// (a0 changes with the adaptive step size).
   bool reuse_lu = true;
-  double bypass_contraction = 0.5;
   /// Cache the linear devices' base Jacobian across solves with unchanged
   /// companion coefficients (a0, ci). Both knobs exist so benchmarks and
   /// regression tests can force the slow reference path.

@@ -262,6 +262,10 @@ ParsedNetlist parse_netlist(const std::string& text) {
   // Node names are case-insensitive in the netlist dialect.
   auto node_of = [&](const std::string& name) { return circuit.node(lower(name)); };
 
+  // Card lines of each .rtn request and .print node, for the checks that
+  // can only run once every card is in.
+  std::vector<std::size_t> rtn_lines;
+  std::vector<std::size_t> print_lines;
   bool ended = false;
   for (const auto& line : lines) {
     if (ended) throw ParseError(line.number, "content after .end");
@@ -395,12 +399,14 @@ ParsedNetlist parse_netlist(const std::string& text) {
                              "second .rtn card for '" + request.device + "'");
           }
           result.rtn_requests.push_back(std::move(request));
+          rtn_lines.push_back(line.number);
           break;
         }
         if (head == ".print" || head == ".probe") {
           for (std::size_t i = 1; i < t.size(); ++i) {
             if (lower(t[i]) == "v") continue;  // the "v" of "v(node)"
             result.print_nodes.push_back(lower(t[i]));
+            print_lines.push_back(line.number);
           }
           break;
         }
@@ -412,16 +418,19 @@ ParsedNetlist parse_netlist(const std::string& text) {
   }
 
   // Validate .rtn devices exist and are MOSFETs.
-  for (const auto& request : result.rtn_requests) {
-    if (result.circuit->find<Mosfet>(request.device) == nullptr) {
-      throw ParseError(0, ".rtn references unknown MOSFET '" +
-                              request.device + "'");
+  for (std::size_t i = 0; i < result.rtn_requests.size(); ++i) {
+    const std::string& device = result.rtn_requests[i].device;
+    if (result.circuit->find<Mosfet>(device) == nullptr) {
+      throw ParseError(rtn_lines[i],
+                       ".rtn references unknown MOSFET '" + device + "'");
     }
   }
   // Validate print nodes exist.
-  for (const auto& node : result.print_nodes) {
+  for (std::size_t i = 0; i < result.print_nodes.size(); ++i) {
+    const std::string& node = result.print_nodes[i];
     if (node != "0" && node != "gnd" && !result.circuit->has_node(node)) {
-      throw ParseError(0, ".print references unknown node '" + node + "'");
+      throw ParseError(print_lines[i],
+                       ".print references unknown node '" + node + "'");
     }
   }
   return result;

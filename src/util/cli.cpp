@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cctype>
 #include <stdexcept>
 
 namespace samurai::util {
@@ -30,26 +31,41 @@ std::string Cli::get_string(const std::string& name, std::string fallback) const
   return it == options_.end() ? std::move(fallback) : it->second;
 }
 
+namespace {
+
+/// `parse(text, &used)` must consume all of `text`; anything else (no
+/// number, trailing junk, a parse error) throws naming the option.
+template <typename Parse>
+auto parse_whole(const std::string& name, const std::string& text,
+                 const char* expects, Parse parse) {
+  try {
+    std::size_t used = 0;
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument("option --" + name + " expects " + expects +
+                              ", got '" + text + "'");
+}
+
+}  // namespace
+
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects a number, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "a number",
+                     [](const std::string& text, std::size_t* used) {
+                       return std::stod(text, used);
+                     });
 }
 
 long long Cli::get_int(const std::string& name, long long fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects an integer, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "an integer",
+                     [](const std::string& text, std::size_t* used) {
+                       return std::stoll(text, used);
+                     });
 }
 
 long long Cli::get_count(const std::string& name, long long fallback) const {
@@ -76,12 +92,15 @@ double Cli::get_positive_double(const std::string& name,
 std::uint64_t Cli::get_seed(const std::string& name, std::uint64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  try {
-    return std::stoull(it->second, nullptr, 0);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("option --" + name + " expects a seed, got '" +
-                                it->second + "'");
-  }
+  return parse_whole(name, it->second, "a seed",
+                     [](const std::string& text, std::size_t* used) {
+                       // stoull would wrap "-3" to 2^64 - 3.
+                       if (text.empty() || !std::isdigit(
+                               static_cast<unsigned char>(text[0]))) {
+                         throw std::invalid_argument("not a seed");
+                       }
+                       return std::stoull(text, used, 0);  // 0x.. is hex
+                     });
 }
 
 }  // namespace samurai::util

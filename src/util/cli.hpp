@@ -1,7 +1,10 @@
 // Minimal command-line option parsing for examples and benches.
 //
-// Supports `--name value` and `--name=value`; unknown options are an error
-// so typos fail loudly. Only the handful of types the binaries need.
+// Supports `--name value` and `--name=value`. Options are not declared:
+// an unknown option is silently ignored, so a typo'd name runs with the
+// default. A value must parse in full (no trailing junk; seeds take no
+// sign), otherwise the getter throws std::invalid_argument naming the
+// option. Only the handful of types the binaries need.
 #pragma once
 
 #include <cstdint>

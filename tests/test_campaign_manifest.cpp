@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <set>
 #include <stdexcept>
 #include <string>
 
@@ -168,6 +170,24 @@ TEST(CampaignManifest, ShardPartitionCoversBudgetExactly) {
   EXPECT_THROW(shard_spec(manifest, 5), std::out_of_range);
 }
 
+/// Every solver and sampler counter a distinct value, set in table order.
+/// The integers exceed 2^53, so a reader that went through a double would
+/// lose bits.
+void fill_distinct_counters(spice::SolverStats& solver,
+                            core::UniformisationStats& rtn) {
+  std::uint64_t i = 0;
+  for (const auto& c : spice::kSolverCounters) {
+    solver.*c.field = 0x9E3779B97F4A7C15ULL * ++i;
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    rtn.*c.field = 0x9E3779B97F4A7C15ULL * ++i;
+  }
+  double k = 0.0;
+  for (const auto& c : core::kUniformisationSums) {
+    rtn.*c.field = ++k / 7.0 * 1e5;
+  }
+}
+
 TEST(CampaignShardResult, LedgerLineRoundTripsBitExact) {
   ShardResult shard;
   shard.index = 7;
@@ -185,6 +205,7 @@ TEST(CampaignShardResult, LedgerLineRoundTripsBitExact) {
   shard.value.mean = 0.83124999999999993;
   shard.value.m2 = 5.0e-4 / 3.0;
   shard.wall_seconds = 12.25;
+  fill_distinct_counters(shard.solver, shard.rtn);
 
   const ShardResult copy = ShardResult::from_json(shard.to_json());
   EXPECT_EQ(copy.index, shard.index);
@@ -204,6 +225,142 @@ TEST(CampaignShardResult, LedgerLineRoundTripsBitExact) {
   EXPECT_EQ(copy.value.mean, shard.value.mean);
   EXPECT_EQ(copy.value.m2, shard.value.m2);
   EXPECT_EQ(copy.wall_seconds, shard.wall_seconds);
+  for (const auto& c : spice::kSolverCounters) {
+    EXPECT_EQ(copy.solver.*c.field, shard.solver.*c.field) << c.key;
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    EXPECT_EQ(copy.rtn.*c.field, shard.rtn.*c.field) << c.key;
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    EXPECT_EQ(copy.rtn.*c.field, shard.rtn.*c.field) << c.key;
+  }
+}
+
+// The ledger line and the summary are an on-disk format: these are the
+// exact bytes the hand-written writers printed before the counter tables
+// replaced them, for the same values set through the named fields.
+TEST(CampaignCounters, LedgerLineAndSummaryBytesAreStable) {
+  ShardResult shard;
+  shard.index = 3;
+  shard.samples = 64;
+  fill_distinct_counters(shard.solver, shard.rtn);
+  EXPECT_EQ(shard.to_json(),
+      "{\"shard\": 3, \"samples\": 64, \"w_count\": 0, "
+      "\"w_failures\": 0, \"w_sum\": 0, \"w_sq_sum\": 0, "
+      "\"w_fail_sum\": 0, \"w_fail_sq_sum\": 0, \"fail_count\": 0, "
+      "\"fail_successes\": 0, \"nominal_count\": 0, "
+      "\"nominal_successes\": 0, \"slow_count\": 0, "
+      "\"slow_successes\": 0, \"value_count\": 0, "
+      "\"value_mean\": 0, \"value_m2\": 0, \"wall_seconds\": 0, "
+      "\"nw_iterations\": 11400714819323198485, "
+      "\"nw_factorizations\": 4354685564936845354, "
+      "\"nw_solves\": 15755400384260043839, "
+      "\"nw_bypass_hits\": 8709371129873690708, "
+      "\"nw_device_loads\": 1663341875487337577, "
+      "\"nw_cache_hits\": 13064056694810536062, "
+      "\"nw_steps_accepted\": 6018027440424182931, "
+      "\"nw_steps_rejected\": 17418742259747381416, "
+      "\"nw_transients\": 10372713005361028285, "
+      "\"nw_workspace_allocations\": 3326683750974675154, "
+      "\"sp_symbolic_analyses\": 14727398570297873639, "
+      "\"sp_numeric_refactors\": 7681369315911520508, "
+      "\"sp_solves\": 635340061525167377, "
+      "\"bt_batches\": 12036054880848365862, "
+      "\"bt_lanes\": 4990025626462012731, "
+      "\"bt_steps\": 16390740445785211216, "
+      "\"ap_elided_loads\": 9344711191398858085, "
+      "\"ap_partial_refactors\": 2298681937012504954, "
+      "\"ap_rows_skipped\": 13699396756335703439, "
+      "\"ap_folded_cells\": 6653367501949350308, "
+      "\"rtn_candidates\": 18054082321272548793, "
+      "\"rtn_accepted\": 11008053066886195662, "
+      "\"rtn_segments\": 3962023812499842531, "
+      "\"rtn_rng_refills\": 15362738631823041016, "
+      "\"rtn_envelope_integral\": 14285.714285714284, "
+      "\"rtn_fixed_bound_integral\": 28571.428571428569}");
+
+  CampaignResult result;
+  result.manifest.kind = CampaignKind::kImportance;
+  result.manifest.name = "campaign";
+  result.manifest.budget = 1000;
+  result.manifest.shard_size = 100;
+  result.solver = shard.solver;
+  result.rtn = shard.rtn;
+  EXPECT_EQ(result.to_json(),
+      "{\"kind\": \"importance\", \"name\": \"campaign\", "
+      "\"status\": \"paused\", \"shards_done\": 0, "
+      "\"shard_count\": 10, \"budget\": 1000, \"budget_used\": 0, "
+      "\"budget_saved\": 0, \"estimate\": 0, "
+      "\"standard_error\": 0, \"ci_lo\": 0, \"ci_hi\": 0, "
+      "\"relative_half_width\": 0, \"effective_sample_size\": 0, "
+      "\"failures\": 0, \"wall_seconds\": 0, "
+      "\"nw_iterations\": 11400714819323198485, "
+      "\"nw_factorizations\": 4354685564936845354, "
+      "\"nw_solves\": 15755400384260043839, "
+      "\"nw_bypass_hits\": 8709371129873690708, "
+      "\"nw_device_loads\": 1663341875487337577, "
+      "\"nw_cache_hits\": 13064056694810536062, "
+      "\"nw_steps_accepted\": 6018027440424182931, "
+      "\"nw_steps_rejected\": 17418742259747381416, "
+      "\"nw_transients\": 10372713005361028285, "
+      "\"nw_workspace_allocations\": 3326683750974675154, "
+      "\"sp_symbolic_analyses\": 14727398570297873639, "
+      "\"sp_numeric_refactors\": 7681369315911520508, "
+      "\"sp_solves\": 635340061525167377, "
+      "\"bt_batches\": 12036054880848365862, "
+      "\"bt_lanes\": 4990025626462012731, "
+      "\"bt_steps\": 16390740445785211216, "
+      "\"ap_elided_loads\": 9344711191398858085, "
+      "\"ap_partial_refactors\": 2298681937012504954, "
+      "\"ap_rows_skipped\": 13699396756335703439, "
+      "\"ap_folded_cells\": 6653367501949350308, "
+      "\"rtn_candidates\": 18054082321272548793, "
+      "\"rtn_accepted\": 11008053066886195662, "
+      "\"rtn_segments\": 3962023812499842531, "
+      "\"rtn_rng_refills\": 15362738631823041016, "
+      "\"rtn_envelope_integral\": 14285.714285714284, "
+      "\"rtn_fixed_bound_integral\": 28571.428571428569, "
+      "\"rtn_envelope_efficiency\": 2}");
+}
+
+TEST(CampaignCounters, LedgerWithoutCounterKeysReadsZero) {
+  // A line as written before any nw_/sp_/bt_/ap_/rtn_ key existed.
+  const ShardResult shard = ShardResult::from_json(
+      "{\"shard\": 2, \"samples\": 10, \"fail_count\": 10, "
+      "\"fail_successes\": 1, \"wall_seconds\": 0.5}");
+  EXPECT_EQ(shard.index, 2u);
+  EXPECT_EQ(shard.fails.successes, 1u);
+  for (const auto& c : spice::kSolverCounters) {
+    EXPECT_EQ(shard.solver.*c.field, 0u) << c.key;
+  }
+  for (const auto& c : core::kUniformisationCounts) {
+    EXPECT_EQ(shard.rtn.*c.field, 0u) << c.key;
+  }
+  for (const auto& c : core::kUniformisationSums) {
+    EXPECT_EQ(shard.rtn.*c.field, 0.0) << c.key;
+  }
+}
+
+TEST(CampaignCounters, TableKeysAndFieldsAreUnique) {
+  std::set<std::string> keys;
+  for (const auto& c : spice::kSolverCounters) keys.insert(c.key);
+  for (const auto& c : core::kUniformisationCounts) keys.insert(c.key);
+  for (const auto& c : core::kUniformisationSums) keys.insert(c.key);
+  EXPECT_EQ(keys.size(), spice::kSolverCounters.size() +
+                             core::kUniformisationCounts.size() +
+                             core::kUniformisationSums.size());
+  // Two rows naming one field would pass the sizeof check with a field
+  // left out of every output.
+  const auto expect_distinct_fields = [](const auto& table) {
+    for (std::size_t i = 0; i < table.size(); ++i) {
+      for (std::size_t j = 0; j < i; ++j) {
+        EXPECT_NE(table[i].field, table[j].field) << table[i].key;
+      }
+    }
+  };
+  expect_distinct_fields(spice::kSolverCounters);
+  expect_distinct_fields(core::kUniformisationCounts);
+  expect_distinct_fields(core::kUniformisationSums);
 }
 
 class CampaignCheckpointFiles : public ::testing::Test {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "spice/devices.hpp"
 
@@ -129,11 +130,19 @@ TEST(Parser, NodesetAndPrintDirectives) {
 }
 
 TEST(Parser, ErrorsCarryLineNumbers) {
-  try {
-    parse_netlist("t\nR1 a 0\n.end\n");  // missing value
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.line(), 2u);
+  const std::pair<const char*, std::size_t> cases[] = {
+      {"t\nR1 a 0\n.end\n", 2},  // missing value
+      // Checked once every card is in, but still reported at the card.
+      {"t\nR1 a 0 1k\n.rtn M9\n.end\n", 3},  // names no MOSFET
+      {"t\nR1 a 0 1k\n\n.print v(a) v(zzz)\n.end\n", 4},  // unknown node
+  };
+  for (const auto& [deck, line] : cases) {
+    try {
+      parse_netlist(deck);
+      ADD_FAILURE() << "expected ParseError: " << deck;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
   }
 }
 

@@ -136,10 +136,26 @@ TEST(Cli, FallbacksWhenAbsent) {
 }
 
 TEST(Cli, BadNumberThrows) {
-  const char* argv[] = {"prog", "--n=abc"};
-  Cli cli(2, argv);
+  const char* argv[] = {"prog", "--n=abc", "--x=1.5x", "--k=7k",
+                        "--neg=-3", "--tail=12abc", "--empty="};
+  Cli cli(7, argv);
   EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(cli.get_double("n", 0.0), std::invalid_argument);
+  // Trailing junk after a valid prefix is an error, not the prefix.
+  EXPECT_THROW(cli.get_double("x", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_int("k", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_count("k", 1), std::invalid_argument);
+  EXPECT_THROW(cli.get_seed("tail", 0), std::invalid_argument);
+  // A signed seed would wrap around instead of failing.
+  EXPECT_THROW(cli.get_seed("neg", 0), std::invalid_argument);
+  EXPECT_EQ(cli.get_int("neg", 0), -3);
+  EXPECT_THROW(cli.get_seed("empty", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("empty", 0.0), std::invalid_argument);
+  try {
+    cli.get_double("x", 0.0);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--x"), std::string::npos);
+  }
 }
 
 TEST(Cli, CountRejectsNonPositiveValues) {
