@@ -33,14 +33,13 @@ int main(int argc, char** argv) {
   manifest.period = cli.get_double("period", 1e-9);
   manifest.bits = cli.get_string("bits", "101");
   manifest.rtn_scale = cli.get_double("scale", 30.0);
-  manifest.budget = static_cast<std::uint64_t>(cli.get_int("cells", 32));
-  manifest.shard_size = static_cast<std::uint64_t>(cli.get_int("shard", 8));
+  manifest.budget = cli.get_u64("cells", 32);
+  manifest.shard_size = cli.get_u64("shard", 8);
   manifest.sigma_vt = cli.get_double("sigma-vt", 0.02);
   manifest.seed = cli.get_seed("seed", 77);
-  manifest.threads = static_cast<std::uint64_t>(cli.get_int("threads", 4));
+  manifest.threads = cli.get_u64("threads", 4);
   manifest.target_rel_half_width = cli.get_double("target-rhw", 0.0);
-  manifest.min_samples =
-      static_cast<std::uint64_t>(cli.get_int("min-samples", 0));
+  manifest.min_samples = cli.get_u64("min-samples", 0);
 
   std::printf("SRAM array Monte-Carlo — %s, %llu cells, sigma_VT=%.0f mV, "
               "RTN x%.0f\n\n",

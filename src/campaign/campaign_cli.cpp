@@ -11,14 +11,18 @@
 // (--kind importance|array-yield|vmin, --samples, --shard, --batch,
 // --seed, --threads, --target-rhw, --min-samples, --node, --vdd, --bits,
 // --scale, --sigma-vt, --shift, --rtn-seeds, --v-lo, --v-hi,
-// --resolution, --nominal-only, --slow-as-fail, --name, --rows, --cols,
-// --activity off|elide|schur). --rows/--cols pin the array-yield cell
-// population to an R×C footprint; non-positive values and unknown
-// activity modes are rejected with usage (exit 2). --batch K > 1
-// runs nominal-only importance samples through the lock-step batched
-// transient engine, K lanes at a time (requires --nominal-only). Without --dir the campaign runs
-// in memory (no checkpoint, no resume). Every subcommand ends with one
-// machine-readable JSON summary line on stdout.
+// --resolution, --nominal-only, --slow-as-fail, --name, --rows, --cols).
+// --rows/--cols pin the array-yield cell population to an R×C footprint;
+// non-positive values are rejected with usage (exit 2). A negative value
+// for any count flag is an error naming the flag, before anything is
+// written. --batch K > 1 runs nominal-only importance samples through
+// the lock-step batched transient engine, K lanes at a time (requires
+// --nominal-only). With --dir, `run` is `init` plus
+// `resume`, and `resume` is one in-process worker plus one coordinator
+// tick, so it shares the directory's shards with any `work` processes;
+// without --dir the campaign runs in memory (no checkpoint, no resume).
+// Every subcommand ends with one machine-readable JSON summary line on
+// stdout.
 //
 // The distributed service (DESIGN.md §14): `init` writes the manifest
 // without running anything; any number of `work` processes then lease
@@ -37,6 +41,7 @@
 #include "campaign/service/coordinator.hpp"
 #include "campaign/service/worker.hpp"
 #include "util/cli.hpp"
+#include "util/fs.hpp"
 
 using namespace samurai;
 
@@ -46,8 +51,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: samurai_campaign run    --dir DIR [--manifest FILE | "
                "--kind importance|array-yield|vmin --samples N --shard S\n"
-               "                               [--rows R --cols C] "
-               "[--activity off|elide|schur] ...]\n"
+               "                               [--rows R --cols C] ...]\n"
                "       samurai_campaign resume --dir DIR [--max-shards K]\n"
                "       samurai_campaign status --dir DIR\n"
                "       samurai_campaign init   --dir DIR [--manifest FILE | "
@@ -65,14 +69,13 @@ campaign::Manifest manifest_from_flags(const util::Cli& cli) {
       campaign::kind_from_string(cli.get_string("kind", "importance"));
   manifest.name = cli.get_string("name", campaign::to_string(manifest.kind));
   manifest.seed = cli.get_seed("seed", 31);
-  manifest.budget = static_cast<std::uint64_t>(cli.get_int("samples", 1000));
-  manifest.shard_size = static_cast<std::uint64_t>(cli.get_int("shard", 100));
+  manifest.budget = cli.get_u64("samples", 1000);
+  manifest.shard_size = cli.get_u64("shard", 100);
   manifest.batch = static_cast<std::uint64_t>(cli.get_count("batch", 1));
-  manifest.threads = static_cast<std::uint64_t>(cli.get_int("threads", 1));
+  manifest.threads = cli.get_u64("threads", 1);
   manifest.target_rel_half_width = cli.get_double("target-rhw", 0.0);
   manifest.confidence_z = cli.get_double("confidence-z", manifest.confidence_z);
-  manifest.min_samples =
-      static_cast<std::uint64_t>(cli.get_int("min-samples", 0));
+  manifest.min_samples = cli.get_u64("min-samples", 0);
   manifest.node = cli.get_string("node", "90nm");
   manifest.v_dd = cli.get_double("vdd", 0.0);
   manifest.bits = cli.get_string("bits", "10");
@@ -94,18 +97,15 @@ campaign::Manifest manifest_from_flags(const util::Cli& cli) {
   manifest.v_lo = cli.get_double("v-lo", manifest.v_lo);
   manifest.v_hi = cli.get_double("v-hi", manifest.v_hi);
   manifest.resolution = cli.get_double("resolution", manifest.resolution);
-  manifest.rtn_seeds =
-      static_cast<std::uint64_t>(cli.get_int("rtn-seeds", 1));
+  manifest.rtn_seeds = cli.get_u64("rtn-seeds", 1);
   // --rows/--cols pin the array-yield cell population to an R×C footprint;
-  // get_count rejects non-positive values loudly. --activity is validated
-  // by Manifest::validate() (off | elide | schur).
+  // get_count rejects non-positive values loudly.
   if (cli.has("rows")) {
     manifest.rows = static_cast<std::uint64_t>(cli.get_count("rows", 1));
   }
   if (cli.has("cols")) {
     manifest.cols = static_cast<std::uint64_t>(cli.get_count("cols", 1));
   }
-  manifest.activity = cli.get_string("activity", manifest.activity);
   return manifest;
 }
 
@@ -148,8 +148,7 @@ int main(int argc, char** argv) {
 
     campaign::RunOptions options;
     options.dir = dir;
-    options.max_shards_this_run =
-        static_cast<std::uint64_t>(cli.get_int("max-shards", 0));
+    options.max_shards_this_run = cli.get_u64("max-shards", 0);
     options.progress = cli.has("quiet") ? nullptr : &std::cerr;
 
     if (command == "run") {
@@ -207,11 +206,13 @@ int main(int argc, char** argv) {
       campaign::WorkerOptions worker;
       worker.dir = dir;
       worker.worker_id = cli.get_string("worker-id", "");
+      if (worker.worker_id.empty()) {
+        worker.worker_id = util::default_worker_id();
+      }
       worker.lease_ttl =
           cli.get_positive_double("lease-ttl", worker.lease_ttl);
       worker.poll_seconds = cli.get_positive_double("poll", worker.poll_seconds);
-      worker.max_shards =
-          static_cast<std::uint64_t>(cli.get_int("max-shards", 0));
+      worker.max_shards = options.max_shards_this_run;
       worker.max_wall_seconds = cli.get_double("max-seconds", 0.0);
       worker.progress = cli.has("quiet") ? nullptr : &std::cerr;
       const campaign::WorkerReport report = campaign::run_worker(worker);

@@ -33,10 +33,6 @@ void Checkpoint::init(const Manifest& manifest) const {
   write_file_atomic(manifest_path(), manifest.to_json() + "\n");
 }
 
-bool Checkpoint::has_manifest() const {
-  return std::filesystem::exists(manifest_path());
-}
-
 bool Checkpoint::has_ledger() const {
   return std::filesystem::exists(ledger_path());
 }
@@ -47,9 +43,21 @@ Manifest Checkpoint::load_manifest() const {
 
 std::vector<ShardResult> Checkpoint::load_ledger() const {
   std::vector<ShardResult> shards;
-  if (!has_ledger()) return shards;
-  const std::string text = read_file(ledger_path());
+  read_ledger(0, shards);
+  return shards;
+}
 
+std::uint64_t Checkpoint::read_ledger(std::uint64_t offset,
+                                      std::vector<ShardResult>& shards) const {
+  if (!has_ledger()) return offset;
+  std::ifstream in(ledger_path(), std::ios::binary);
+  if (!in) throw std::runtime_error("campaign: cannot read " + ledger_path());
+  in.seekg(static_cast<std::streamoff>(offset));
+  std::ostringstream appended;
+  appended << in.rdbuf();
+  const std::string text = appended.str();
+
+  const std::size_t old_size = shards.size();
   std::size_t pos = 0;
   while (pos < text.size()) {
     const std::size_t nl = text.find('\n', pos);
@@ -94,17 +102,14 @@ std::vector<ShardResult> Checkpoint::load_ledger() const {
   // fold contract is index order from shard 0, so sort here. Duplicate
   // indices (a reclaimed lease whose original owner also finished) keep
   // the first-appended line; both are bit-identical by the determinism
-  // contract, so this is a tie-break, not a choice.
-  std::stable_sort(shards.begin(), shards.end(),
-                   [](const ShardResult& a, const ShardResult& b) {
-                     return a.index < b.index;
-                   });
-  shards.erase(std::unique(shards.begin(), shards.end(),
-                           [](const ShardResult& a, const ShardResult& b) {
-                             return a.index == b.index;
-                           }),
-               shards.end());
-  return shards;
+  // contract, so this is a tie-break, not a choice. Both sort and merge
+  // are stable, so earlier lines stay ahead of later ones of equal index.
+  const auto fresh = shards.begin() + static_cast<std::ptrdiff_t>(old_size);
+  std::ranges::stable_sort(fresh, shards.end(), {}, &ShardResult::index);
+  std::ranges::inplace_merge(shards, fresh, {}, &ShardResult::index);
+  const auto duplicates = std::ranges::unique(shards, {}, &ShardResult::index);
+  shards.erase(duplicates.begin(), duplicates.end());
+  return offset + pos;  // a torn tail stays unread
 }
 
 void Checkpoint::append_ledger(const ShardResult& shard) const {
@@ -113,11 +118,6 @@ void Checkpoint::append_ledger(const ShardResult& shard) const {
 
 void Checkpoint::store_state(const std::string& state_json) const {
   write_file_atomic(state_path(), state_json + "\n");
-}
-
-std::string Checkpoint::load_state() const {
-  if (!std::filesystem::exists(state_path())) return "";
-  return read_file(state_path());
 }
 
 }  // namespace samurai::campaign

@@ -1,12 +1,13 @@
 // Flat JSON read/write for the campaign runtime's on-disk artifacts
-// (manifest.json, shards.jsonl lines, state.json).
+// (manifest.json, shards.jsonl lines, status.json, lease files).
 //
 // The campaign files are all *flat* objects — string / number / bool
-// values, no nesting — so a full JSON library is not needed. The writer
-// preserves field order and renders doubles with enough digits to
-// round-trip bit-exactly (a checkpoint must restore the estimator state
-// the uninterrupted run would have had); the parser accepts exactly the
-// subset the writer emits plus whitespace.
+// values; status.json's one nested per-worker array is written raw and
+// read back as an opaque value — so a full JSON library is not needed.
+// The writer preserves field order and renders doubles with enough digits
+// to round-trip bit-exactly (a checkpoint must restore the estimator
+// state the uninterrupted run would have had); the parser accepts exactly
+// the subset the writer emits plus whitespace.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "campaign/json.hpp"
-#include "spice/analysis.hpp"
 
 namespace samurai::campaign {
 
@@ -25,7 +24,9 @@ CampaignKind kind_from_string(const std::string& name) {
 
 std::uint64_t Manifest::shard_count() const {
   if (shard_size == 0) return 0;
-  return (budget + shard_size - 1) / shard_size;
+  // Not (budget + shard_size - 1) / shard_size: that wraps for shard sizes
+  // near 2^64 and yields zero shards.
+  return budget / shard_size + (budget % shard_size != 0 ? 1 : 0);
 }
 
 void Manifest::validate() const {
@@ -68,12 +69,6 @@ void Manifest::validate() const {
     throw std::invalid_argument(
         "manifest: budget exceeds the rows*cols cell population");
   }
-  try {
-    (void)spice::activity_mode_from_string(activity);
-  } catch (const std::invalid_argument&) {
-    throw std::invalid_argument("manifest: unknown activity mode '" +
-                                activity + "' (off | elide | schur)");
-  }
   bool any_bit = false;
   for (char ch : bits) any_bit |= (ch == '0' || ch == '1');
   if (!any_bit) throw std::invalid_argument("manifest: bits has no 0/1");
@@ -105,7 +100,6 @@ std::string Manifest::to_json() const {
   json.add("with_rtn", with_rtn);
   json.add_u64("rows", rows);
   json.add_u64("cols", cols);
-  json.add("activity", activity);
   json.add("v_lo", v_lo);
   json.add("v_hi", v_hi);
   json.add("resolution", resolution);
@@ -144,7 +138,6 @@ Manifest Manifest::from_json(const std::string& text) {
   manifest.with_rtn = json.get_bool("with_rtn", manifest.with_rtn);
   manifest.rows = json.get_u64("rows", manifest.rows);
   manifest.cols = json.get_u64("cols", manifest.cols);
-  manifest.activity = json.get_string("activity", manifest.activity);
   manifest.v_lo = json.get_double("v_lo", manifest.v_lo);
   manifest.v_hi = json.get_double("v_hi", manifest.v_hi);
   manifest.resolution = json.get_double("resolution", manifest.resolution);

@@ -61,12 +61,9 @@ struct Manifest {
   // Array footprint (kArrayYield). 0/0 = derive the population from the
   // sample budget (one cell per sample, the historical behaviour). When
   // set, the campaign samples cells of a fixed R×C array, so the budget
-  // must not exceed rows·cols. `activity` names the partition mode used
-  // for any array-level transient work ("off" | "elide" | "schur");
-  // validated here so a typo fails at manifest time, not mid-campaign.
+  // must not exceed rows·cols.
   std::uint64_t rows = 0;
   std::uint64_t cols = 0;
-  std::string activity = "schur";
 
   // kVmin only.
   double v_lo = 0.7;

@@ -1,15 +1,14 @@
 #include "campaign/runner.hpp"
 
-#include <cmath>
 #include <limits>
-#include <map>
 #include <ostream>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/json.hpp"
+#include "campaign/service/coordinator.hpp"
+#include "campaign/service/worker.hpp"
 
 namespace samurai::campaign {
 
@@ -76,70 +75,6 @@ void finalise(CampaignResult& result) {
       result.stopped_early ? result.manifest.budget - result.samples_done : 0;
 }
 
-void report_progress(std::ostream* out, const CampaignResult& result) {
-  if (!out) return;
-  *out << "[campaign " << result.manifest.name << "] shard "
-       << result.shards_done << "/" << result.manifest.shard_count()
-       << "  samples " << result.samples_done << "/" << result.manifest.budget
-       << "  estimate " << result.estimate << "  rel-CI-half-width "
-       << result.relative_half_width << "\n";
-}
-
-/// Shared engine: fold the existing ledger shard by shard (re-applying the
-/// stopping rule so a resumed campaign stops exactly where the
-/// uninterrupted one would have), then optionally execute further shards.
-/// Ledger entries beyond a gap (a distributed campaign whose workers
-/// completed shards out of order) are folded in place when the fold
-/// reaches their index — never re-executed, never double-folded.
-CampaignResult drive(const Manifest& manifest, const RunOptions& options,
-                     Checkpoint* checkpoint,
-                     const std::vector<ShardResult>& ledger, bool execute) {
-  CampaignResult result = fold_ledger(manifest, ledger);
-
-  // Completed shards the prefix fold could not reach (beyond a gap).
-  std::map<std::uint64_t, ShardResult> completed_ahead;
-  for (const auto& shard : ledger) {
-    if (shard.index >= result.shards_done) completed_ahead.emplace(shard.index, shard);
-  }
-
-  std::uint64_t executed = 0;
-  while (execute && !result.stopped_early &&
-         result.shards_done < manifest.shard_count()) {
-    ShardResult shard;
-    bool ran = false;
-    const auto ahead = completed_ahead.find(result.shards_done);
-    if (ahead != completed_ahead.end()) {
-      shard = ahead->second;  // gap closed: fold the stored result
-    } else {
-      if (options.max_shards_this_run != 0 &&
-          executed >= options.max_shards_this_run) {
-        break;  // simulated kill / per-invocation budget
-      }
-      shard = run_shard(manifest, shard_spec(manifest, result.shards_done));
-      ran = true;
-      ++executed;
-    }
-    fold(result, shard);
-    refresh_estimate(result);
-    if (should_stop(result)) result.stopped_early = true;
-    finalise(result);
-    if (ran) {
-      if (checkpoint) {
-        checkpoint->append_ledger(shard);
-        checkpoint->store_state(result.to_json());
-      }
-      report_progress(options.progress, result);
-    }
-  }
-
-  refresh_estimate(result);
-  finalise(result);
-  if (checkpoint && result.shards_done > 0) {
-    checkpoint->store_state(result.to_json());
-  }
-  return result;
-}
-
 }  // namespace
 
 CampaignResult fold_ledger(const Manifest& manifest,
@@ -191,26 +126,45 @@ void CampaignResult::write_fields(JsonWriter& json) const {
   json.add("rtn_envelope_efficiency", rtn.envelope_efficiency());
 }
 
+void print_progress(std::ostream& out, const std::string& worker_id,
+                    std::uint64_t shard, const CampaignResult& folded) {
+  out << "[campaign " << folded.manifest.name << "] "
+      << (worker_id.empty() ? "(local)" : worker_id) << " shard " << shard
+      << "  samples " << folded.samples_done << "/" << folded.manifest.budget
+      << "  estimate " << folded.estimate << "  rel-CI-half-width "
+      << folded.relative_half_width << "\n";
+}
+
 CampaignResult run_campaign(const Manifest& manifest,
                             const RunOptions& options) {
   manifest.validate();
-  if (options.dir.empty()) {
-    return drive(manifest, options, nullptr, {}, /*execute=*/true);
+  if (!options.dir.empty()) {
+    Checkpoint(options.dir).init(manifest);
+    return resume_campaign(options);
   }
-  Checkpoint checkpoint(options.dir);
-  checkpoint.init(manifest);
-  return drive(manifest, options, &checkpoint, {}, /*execute=*/true);
+  std::vector<ShardResult> ledger;
+  CampaignResult result = fold_ledger(manifest, ledger);
+  while (!result.complete && (options.max_shards_this_run == 0 ||
+                              ledger.size() < options.max_shards_this_run)) {
+    ledger.push_back(run_shard(manifest, shard_spec(manifest, ledger.size())));
+    result = fold_ledger(manifest, ledger);
+    if (options.progress) {
+      print_progress(*options.progress, "", ledger.back().index, result);
+    }
+  }
+  return result;
 }
 
 CampaignResult resume_campaign(const RunOptions& options) {
   if (options.dir.empty()) {
     throw std::invalid_argument("resume_campaign: checkpoint dir required");
   }
-  Checkpoint checkpoint(options.dir);
-  const Manifest manifest = checkpoint.load_manifest();
-  manifest.validate();
-  return drive(manifest, options, &checkpoint, checkpoint.load_ledger(),
-               /*execute=*/true);
+  WorkerOptions worker;
+  worker.dir = options.dir;
+  worker.max_shards = options.max_shards_this_run;
+  worker.progress = options.progress;
+  run_worker(worker);
+  return coordinator_tick(options.dir, worker.lease_ttl).result;
 }
 
 CampaignResult campaign_status(const std::string& dir) {

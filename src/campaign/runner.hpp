@@ -1,20 +1,20 @@
-// The campaign runner: shard loop, streaming fold, early stopping,
-// checkpointing and resume.
+// The campaign runner: streaming fold, early stopping, and the `run`,
+// `resume` and `status` entry points.
 //
-// Execution model: shards run one after another (samples within a shard
-// fan out on the shared executor); after each shard the runner folds the
-// shard's accumulators into the campaign state *in shard order*, writes
-// the checkpoint, and evaluates the sequential stopping rule. Because the
-// fold order is fixed and shard contents depend only on (manifest, shard
-// index), a campaign killed after any shard and resumed from its ledger
-// reproduces the uninterrupted run bit-identically — including where the
-// stopping rule fires.
+// The campaign state is the fold of the shard ledger *in shard order*,
+// re-applying the sequential stopping rule after each shard. With a
+// checkpoint directory, `run` is `init` plus `resume`, and `resume` is one
+// in-process service worker (service/worker.hpp) plus one coordinator tick
+// (service/coordinator.hpp). Because the fold order is fixed and shard
+// contents depend only on (manifest, shard index), a campaign killed after
+// any shard and resumed, or shared with any set of `work` processes,
+// reproduces the uninterrupted run bit-identically, including where the
+// stopping rule fires. Without a directory, `run` folds in memory.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-
 #include <vector>
 
 #include "campaign/accumulator.hpp"
@@ -31,7 +31,7 @@ struct RunOptions {
   /// Execute at most this many *new* shards this invocation (0 = no cap).
   /// Used to simulate a kill in tests and to budget long sessions.
   std::uint64_t max_shards_this_run = 0;
-  /// Stream one progress line per shard (nullptr = silent).
+  /// Stream one print_progress line per shard (nullptr = silent).
   std::ostream* progress = nullptr;
 };
 
@@ -61,7 +61,7 @@ struct CampaignResult {
   double relative_half_width = 0.0;  ///< ci half-width / estimate (inf if 0)
   double effective_sample_size = 0.0;
 
-  /// state.json payload / machine-readable summary line.
+  /// The machine-readable summary line.
   std::string to_json() const;
   /// The same fields appended to a caller-owned writer, so composed
   /// documents (the service's status.json) can extend rather than wrap.
@@ -78,14 +78,21 @@ struct CampaignResult {
 CampaignResult fold_ledger(const Manifest& manifest,
                            const std::vector<ShardResult>& ledger);
 
-/// Run `manifest` from scratch. With a checkpoint dir the manifest is
-/// persisted and every shard is journalled; an existing ledger in the dir
-/// is an error (resume instead).
+/// The one progress line of `run`, `resume` and `work`, printed after
+/// shard `shard` completes: the worker id ("" prints as `(local)`) and the
+/// campaign's folded prefix as that worker sees it.
+void print_progress(std::ostream& out, const std::string& worker_id,
+                    std::uint64_t shard, const CampaignResult& folded);
+
+/// Run `manifest` from scratch. With a checkpoint dir this is
+/// Checkpoint::init (an existing ledger in the dir is an error: resume
+/// instead) followed by resume_campaign.
 CampaignResult run_campaign(const Manifest& manifest,
                             const RunOptions& options = {});
 
-/// Continue the campaign in `options.dir` from its last completed shard.
-/// Completed shards are re-folded from the ledger (never re-executed).
+/// Continue the campaign in `options.dir`: one in-process worker runs the
+/// shards missing from the ledger, sharing them with any `work` processes
+/// through leases; then one coordinator tick folds it into status.json.
 CampaignResult resume_campaign(const RunOptions& options);
 
 /// Fold the ledger without executing anything: the current state of a

@@ -125,9 +125,6 @@ ServiceStatus coordinator_tick(const std::string& dir, double lease_ttl,
   }
 
   write_file_atomic(checkpoint.status_path(), status.to_json() + "\n");
-  if (status.result.shards_done > 0) {
-    checkpoint.store_state(status.result.to_json());
-  }
   return status;
 }
 

@@ -5,14 +5,14 @@
 // expired leases so shards owned by dead workers return to the pool,
 // (2) folds the ledger's contiguous shard prefix through the ordinary
 // `fold_ledger` engine — bit-identical to the single-process fold,
-// including where the stopping rule fires — and (3) publishes the result:
-// `status.json` (the campaign summary extended with `svc_*` service
-// counters and a per-worker throughput table) plus `state.json` for
-// pre-service `status` consumers. The coordinator holds no exclusive
-// state: killing it loses nothing, and restarting it re-derives
-// everything from the directory. It is an observer/janitor, not a
-// scheduler — workers self-assign via leases, so the campaign also
-// completes with no coordinator at all.
+// including where the stopping rule fires — and (3) publishes the result
+// as `status.json`: the campaign summary extended with `svc_*` service
+// counters and a per-worker throughput table. `run`/`resume` end with one
+// tick, so every checkpointed run leaves a status.json behind. The
+// coordinator holds no exclusive state: killing it loses nothing, and
+// restarting it re-derives everything from the directory. It is an
+// observer/janitor, not a scheduler — workers self-assign via leases, so
+// the campaign also completes with no coordinator at all.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,7 @@ struct ServeOptions {
 
 /// Per-worker aggregate over the ledger (attribution via ShardResult::worker).
 struct WorkerView {
-  std::string worker;  ///< "" = shards run by pre-service `run`/`resume`
+  std::string worker;  ///< "" = shards run by `run`/`resume`
   std::uint64_t shards = 0;
   std::uint64_t samples = 0;
   double wall_seconds = 0.0;
@@ -64,8 +64,8 @@ struct ServiceStatus {
 };
 
 /// One coordinator pass over `dir`: reap expired leases, fold the ledger,
-/// publish status.json (and state.json once shards exist). Stateless
-/// apart from the cumulative reclaim counter carried via `reclaimed_so_far`.
+/// publish status.json. Stateless apart from the cumulative reclaim
+/// counter carried via `reclaimed_so_far`.
 ServiceStatus coordinator_tick(const std::string& dir, double lease_ttl,
                                std::uint64_t reclaimed_so_far = 0);
 

@@ -1,18 +1,19 @@
 #include "campaign/service/worker.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <ostream>
+#include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "campaign/checkpoint.hpp"
 #include "campaign/json.hpp"
 #include "campaign/runner.hpp"
 #include "campaign/service/lease.hpp"
-#include "util/fs.hpp"
 
 namespace samurai::campaign {
 
@@ -20,57 +21,73 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Renews `lease` every `period` seconds on a background thread while a
-/// shard runs on the caller's thread. Joined (never detached) so the
-/// lease file is quiescent before the caller releases it.
+/// Renews the lease it is handed every `period` seconds, on one background
+/// thread that lives as long as the worker: `watch` hands it the lease of
+/// the shard about to run, `unwatch` takes the lease back. A renewal runs
+/// under the mutex, so none is in flight once `unwatch` returns and the
+/// caller may release the lease file. Joined, never detached.
 class Heartbeat {
  public:
-  Heartbeat(LeaseDir& leases, Lease& lease, double period)
-      : leases_(leases), lease_(lease) {
-    thread_ = std::thread([this, period] {
-      std::unique_lock<std::mutex> lock(mutex_);
-      const auto tick = std::chrono::duration<double>(period);
-      while (!cv_.wait_for(lock, tick, [this] { return stop_; })) {
-        lock.unlock();
-        bool renewed = false;
-        try {
-          renewed = leases_.renew(lease_);
-        } catch (const std::exception&) {
-          renewed = false;  // transient I/O failure: retry next tick
-        }
-        lock.lock();
-        if (!renewed) {
-          lost_ = true;
-          return;  // stolen: stop touching a file that is no longer ours
-        }
-      }
-    });
+  Heartbeat(LeaseDir& leases, double period) : leases_(leases) {
+    thread_ = std::thread(
+        [this, period] { run(std::chrono::duration<double>(period)); });
   }
 
   Heartbeat(const Heartbeat&) = delete;
   Heartbeat& operator=(const Heartbeat&) = delete;
 
-  ~Heartbeat() { stop(); }
-
-  /// Stop renewing and join. Returns true if the lease was lost.
-  bool stop() {
+  ~Heartbeat() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
+      quit_ = true;
     }
     cv_.notify_all();
-    if (thread_.joinable()) thread_.join();
-    return lost_;
+    thread_.join();
+  }
+
+  /// Start renewing `lease`; the heartbeat must not hold one.
+  void watch(Lease lease) {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      lease_ = std::move(lease);
+    }
+    cv_.notify_all();
+  }
+
+  /// Stop renewing. Returns the lease, or nullopt if a renewal found it
+  /// stolen or failed with an I/O error (either way the lease is lost).
+  std::optional<Lease> unwatch() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return std::exchange(lease_, std::nullopt);
   }
 
  private:
+  void run(std::chrono::duration<double> period) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      cv_.wait(lock, [this] { return quit_ || lease_.has_value(); });
+      if (quit_) return;
+      // A lease handed over mid-wait is renewed early, which is harmless.
+      if (cv_.wait_for(lock, period, [this] { return quit_ || !lease_; })) {
+        continue;
+      }
+      bool renewed = false;
+      try {
+        renewed = leases_.renew(*lease_);
+      } catch (const std::exception&) {
+        renewed = false;  // an I/O failure counts as a lost lease
+      }
+      // Stolen: stop touching a file that is no longer ours.
+      if (!renewed) lease_.reset();
+    }
+  }
+
   LeaseDir& leases_;
-  Lease& lease_;
-  std::thread thread_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stop_ = false;
-  bool lost_ = false;  // written by the thread, read after join
+  std::optional<Lease> lease_;  ///< the lease being renewed, if any
+  bool quit_ = false;
+  std::thread thread_;
 };
 
 }  // namespace
@@ -110,17 +127,14 @@ std::string WorkerReport::to_json() const {
   return json.str();
 }
 
-WorkerReport run_worker(const WorkerOptions& options_in) {
-  WorkerOptions options = options_in;
-  if (options.worker_id.empty()) {
-    options.worker_id = util::default_worker_id();
-  }
+WorkerReport run_worker(const WorkerOptions& options) {
   options.validate();
 
   const Checkpoint checkpoint(options.dir);
   const Manifest manifest = checkpoint.load_manifest();
   manifest.validate();
   LeaseDir leases(options.dir, options.lease_ttl);
+  Heartbeat heartbeat(leases, options.lease_ttl / 3.0);
 
   const auto started = Clock::now();
   const auto elapsed = [&] {
@@ -130,15 +144,16 @@ WorkerReport run_worker(const WorkerOptions& options_in) {
   WorkerReport report;
   report.worker_id = options.worker_id;
 
+  std::vector<ShardResult> ledger;
+  std::uint64_t ledger_offset = 0;
+  std::optional<std::uint64_t> last_run;  // shard awaiting its progress line
   for (;;) {
-    if (options.max_wall_seconds > 0.0 &&
-        elapsed() > options.max_wall_seconds) {
-      report.timed_out = true;
-      break;
-    }
-
-    const auto ledger = checkpoint.load_ledger();
+    ledger_offset = checkpoint.read_ledger(ledger_offset, ledger);
     const CampaignResult folded = fold_ledger(manifest, ledger);
+    if (last_run && options.progress) {
+      print_progress(*options.progress, options.worker_id, *last_run, folded);
+    }
+    last_run.reset();
     if (folded.complete) {
       report.campaign_complete = true;
       break;
@@ -146,43 +161,37 @@ WorkerReport run_worker(const WorkerOptions& options_in) {
     if (options.max_shards != 0 && report.shards_run >= options.max_shards) {
       break;
     }
-
-    std::unordered_set<std::uint64_t> done;
-    done.reserve(ledger.size());
-    for (const auto& shard : ledger) done.insert(shard.index);
+    if (options.max_wall_seconds > 0.0 &&
+        elapsed() > options.max_wall_seconds) {
+      report.timed_out = true;
+      break;
+    }
 
     // Lowest-index-first keeps the contiguous prefix growing, which is
     // what advances the stopping rule; it also means gaps left by dead
     // workers are the first thing a live worker goes after.
     bool claimed = false;
-    for (std::uint64_t i = 0; i < manifest.shard_count(); ++i) {
-      if (done.count(i) != 0) continue;
+    for (std::uint64_t i = folded.shards_done; i < manifest.shard_count(); ++i) {
+      if (std::ranges::binary_search(ledger, i, {}, &ShardResult::index)) {
+        continue;  // done
+      }
       auto lease = leases.try_claim(i, options.worker_id);
       if (!lease) continue;
       claimed = true;
 
-      ShardResult shard;
-      {
-        Heartbeat heartbeat(leases, *lease, options.lease_ttl / 3.0);
-        shard = run_shard(manifest, shard_spec(manifest, i));
-        shard.worker = options.worker_id;
-        if (heartbeat.stop()) {
-          // Presumed dead and our shard re-assigned. Our result is
-          // bit-identical to the thief's, so append it anyway — the fold
-          // dedupes — but leave the thief's lease file alone.
-          ++report.leases_lost;
-          lease.reset();
-        }
-      }
+      heartbeat.watch(std::move(*lease));
+      ShardResult shard = run_shard(manifest, shard_spec(manifest, i));
+      shard.worker = options.worker_id;
+      lease = heartbeat.unwatch();
+      // A lost lease means we were presumed dead and our shard re-assigned.
+      // Our result is bit-identical to the thief's, so append it anyway —
+      // the fold dedupes — but leave the thief's lease file alone.
+      if (!lease) ++report.leases_lost;
       checkpoint.append_ledger(shard);
       if (lease) leases.release(*lease);
       ++report.shards_run;
       report.samples_run += shard.samples;
-      if (options.progress) {
-        *options.progress << "[worker " << options.worker_id << "] shard "
-                          << shard.index << " done (" << shard.samples
-                          << " samples, " << shard.wall_seconds << " s)\n";
-      }
+      last_run = i;
       break;  // re-read the ledger before choosing the next shard
     }
 

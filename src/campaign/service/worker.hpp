@@ -1,15 +1,17 @@
 // The campaign service worker: claim a shard, run it, append, repeat.
 //
 // `samurai_campaign work --dir` turns any process with access to the
-// campaign directory into an elastic worker. Each loop iteration reloads
-// the ledger, re-evaluates the stopping rule on the folded contiguous
-// prefix (so workers stop claiming the moment the campaign's sequential
-// decision is reachable), claims the lowest unfinished shard whose lease
-// is free or expired, runs it through the ordinary `run_shard` engine
-// while a heartbeat thread renews the lease, appends the one-line result
-// durably, and releases the lease. Workers never write manifest.json or
-// state.json — the ledger append is their only mutation of shared
-// estimator state, which is what makes any number of them safe.
+// campaign directory into an elastic worker, and `run`/`resume` are one
+// in-process worker (empty id) followed by one coordinator tick. Each loop
+// iteration reads the ledger bytes appended since the last iteration,
+// re-evaluates the stopping rule on the folded contiguous prefix (so
+// workers stop claiming the moment the campaign's sequential decision is
+// reachable), claims the lowest unfinished shard whose lease is free or
+// expired, runs it through the ordinary `run_shard` engine while the
+// worker's one heartbeat thread renews the lease, appends the one-line
+// result durably, and releases the lease. Workers never write
+// manifest.json or status.json — the ledger append is their only mutation
+// of shared estimator state, which is what makes any number of them safe.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +22,8 @@ namespace samurai::campaign {
 
 struct WorkerOptions {
   std::string dir;        ///< campaign directory (required)
-  std::string worker_id;  ///< "" = util::default_worker_id() (host:pid)
+  std::string worker_id;  ///< "" = run/resume's in-process worker, whose
+                          ///< ledger lines carry no `worker` key
   double lease_ttl = 30.0;     ///< seconds without heartbeat until stealable
   double poll_seconds = 0.2;   ///< sleep when every open shard is leased
   std::uint64_t max_shards = 0;    ///< run at most this many (0 = no cap)

@@ -89,15 +89,15 @@ double Cli::get_positive_double(const std::string& name,
   return value;
 }
 
-std::uint64_t Cli::get_seed(const std::string& name, std::uint64_t fallback) const {
+std::uint64_t Cli::get_u64(const std::string& name, std::uint64_t fallback) const {
   const auto it = options_.find(name);
   if (it == options_.end()) return fallback;
-  return parse_whole(name, it->second, "a seed",
+  return parse_whole(name, it->second, "an unsigned integer",
                      [](const std::string& text, std::size_t* used) {
                        // stoull would wrap "-3" to 2^64 - 3.
                        if (text.empty() || !std::isdigit(
                                static_cast<unsigned char>(text[0]))) {
-                         throw std::invalid_argument("not a seed");
+                         throw std::invalid_argument("not unsigned");
                        }
                        return std::stoull(text, used, 0);  // 0x.. is hex
                      });

@@ -29,7 +29,13 @@ class Cli {
   /// poll periods): zero, negative or non-finite values are rejected with
   /// a clear error instead of silently disabling the mechanism.
   double get_positive_double(const std::string& name, double fallback) const;
-  std::uint64_t get_seed(const std::string& name, std::uint64_t fallback) const;
+  /// An unsigned 64-bit integer (0x.. is hex). A sign is rejected, so
+  /// `-1` fails instead of wrapping to 2^64 - 1: use it for seeds, sizes
+  /// and caps where 0 has a meaning of its own.
+  std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
+  std::uint64_t get_seed(const std::string& name, std::uint64_t fallback) const {
+    return get_u64(name, fallback);
+  }
 
   /// Positional (non `--`) arguments in order.
   const std::vector<std::string>& positional() const noexcept { return positional_; }

@@ -1,17 +1,23 @@
 // Checkpoint/resume determinism and early stopping — the campaign
-// runtime's headline guarantees (ISSUE.md acceptance criteria).
+// runtime's headline guarantees.
 #include "campaign/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "campaign/json.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/runner.hpp"
+#include "campaign/service/lease.hpp"
+#include "campaign/service/worker.hpp"
 #include "campaign/shard.hpp"
 #include "sram/array.hpp"
 #include "util/rng.hpp"
@@ -166,9 +172,10 @@ TEST_F(CampaignCheckpointTest, StatusReflectsPartialLedgerWithoutExecuting) {
   // status must not have executed anything new.
   EXPECT_EQ(Checkpoint(dir("campaign")).load_ledger().size(), 1u);
 
-  // state.json carries the same status for outside observers.
+  // status.json, written by the run's final coordinator tick, carries the
+  // same status for outside observers.
   const auto state =
-      JsonObject::parse(Checkpoint(dir("campaign")).load_state());
+      JsonObject::parse(read_file(Checkpoint(dir("campaign")).status_path()));
   EXPECT_EQ(state.get_string("status", ""), "paused");
   EXPECT_EQ(state.get_u64("budget_used", 0), 6u);
 }
@@ -193,6 +200,60 @@ TEST_F(CampaignCheckpointTest, RunRefusesDirWithExistingLedger) {
   options.max_shards_this_run = 1;
   run_campaign(manifest, options);
   EXPECT_THROW(run_campaign(manifest, options), std::runtime_error);
+}
+
+// A distributed campaign can leave shards completed past a gap. Resume
+// runs only the missing shards and folds the stored ones in place: shard
+// 2's line is never re-run or re-appended.
+TEST_F(CampaignCheckpointTest, ResumeClosesAGapWithoutRerunningPastIt) {
+  const Manifest manifest = small_importance_manifest(1);
+  ASSERT_EQ(manifest.shard_count(), 4u);
+  const Checkpoint checkpoint(dir("gap"));
+  checkpoint.init(manifest);
+  checkpoint.append_ledger(run_shard(manifest, shard_spec(manifest, 0)));
+  ShardResult marked = run_shard(manifest, shard_spec(manifest, 2));
+  marked.wall_seconds = 12345.5;  // no real run takes this long
+  checkpoint.append_ledger(marked);
+
+  RunOptions options;
+  options.dir = dir("gap");
+  const CampaignResult resumed = resume_campaign(options);
+  ASSERT_TRUE(resumed.complete);
+
+  // The ledger grew by exactly shards 1 and 3, in that order.
+  std::vector<std::uint64_t> appended;
+  std::istringstream lines(read_file(checkpoint.ledger_path()));
+  for (std::string line; std::getline(lines, line);) {
+    appended.push_back(ShardResult::from_json(line).index);
+  }
+  EXPECT_EQ(appended, (std::vector<std::uint64_t>{0, 2, 1, 3}));
+  const auto ledger = checkpoint.load_ledger();
+  ASSERT_EQ(ledger.size(), 4u);
+  for (std::uint64_t i = 0; i < ledger.size(); ++i) {
+    EXPECT_EQ(ledger[i].index, i);
+  }
+  EXPECT_EQ(ledger[2].wall_seconds, 12345.5);
+  expect_bit_identical(run_campaign(manifest), resumed);
+}
+
+// A hard-killed run leaves the lease of the shard it was running. Once the
+// lease is older than the ttl, resume steals it like any worker would,
+// runs the shard and releases it.
+TEST_F(CampaignCheckpointTest, ResumeTakesOverAKilledRunsLease) {
+  const Manifest manifest = small_importance_manifest(1);
+  Checkpoint(dir("killed")).init(manifest);
+  LeaseDir leases(dir("killed"), WorkerOptions{}.lease_ttl);
+  ASSERT_TRUE(leases.try_claim(1, "dead").has_value());
+  std::filesystem::last_write_time(
+      leases.path_for(1), std::filesystem::file_time_type::clock::now() -
+                              std::chrono::seconds(120));
+
+  RunOptions options;
+  options.dir = dir("killed");
+  const CampaignResult resumed = resume_campaign(options);
+  ASSERT_TRUE(resumed.complete);
+  expect_bit_identical(run_campaign(manifest), resumed);
+  EXPECT_TRUE(std::filesystem::is_empty(leases.dir()));
 }
 
 // Early stopping: with a loose precision target the campaign must stop
@@ -223,8 +284,9 @@ TEST_F(CampaignCheckpointTest, EarlyStopSavesBudgetAndAgreesWithFullRun) {
   EXPECT_GT(early.budget_saved, 0u);
   EXPECT_LE(early.relative_half_width, manifest.target_rel_half_width);
 
-  // The spent/saved split is in the persisted state for status consumers.
-  const auto state = JsonObject::parse(Checkpoint(dir("early")).load_state());
+  // The spent/saved split is in the persisted status for its consumers.
+  const auto state =
+      JsonObject::parse(read_file(Checkpoint(dir("early")).status_path()));
   EXPECT_EQ(state.get_string("status", ""), "stopped_early");
   EXPECT_EQ(state.get_u64("budget_saved", 0), early.budget_saved);
 

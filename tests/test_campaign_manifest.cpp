@@ -80,7 +80,6 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   manifest.rtn_seeds = 3;
   manifest.rows = 64;
   manifest.cols = 32;
-  manifest.activity = "elide";
 
   const Manifest copy = Manifest::from_json(manifest.to_json());
   EXPECT_EQ(copy.kind, manifest.kind);
@@ -105,17 +104,22 @@ TEST(CampaignManifest, RoundTripsThroughJson) {
   EXPECT_EQ(copy.rtn_seeds, manifest.rtn_seeds);
   EXPECT_EQ(copy.rows, manifest.rows);
   EXPECT_EQ(copy.cols, manifest.cols);
-  EXPECT_EQ(copy.activity, manifest.activity);
 }
 
 TEST(CampaignManifest, PreArrayManifestsParseWithDefaults) {
   // Ledgers written before the array footprint existed carry no
-  // rows/cols/activity keys; they must keep parsing as unconstrained.
+  // rows/cols keys; they must keep parsing as unconstrained.
   const Manifest manifest = Manifest::from_json(
       "{\"kind\": \"importance\", \"budget\": 10, \"shard_size\": 5}");
   EXPECT_EQ(manifest.rows, 0u);
   EXPECT_EQ(manifest.cols, 0u);
-  EXPECT_EQ(manifest.activity, "schur");
+  // Manifests from when the unused `activity` knob existed still load.
+  const Manifest with_activity = Manifest::from_json(
+      "{\"kind\": \"array-yield\", \"budget\": 16, \"shard_size\": 4, "
+      "\"rows\": 4, \"cols\": 4, \"activity\": \"elide\"}");
+  EXPECT_EQ(with_activity.kind, CampaignKind::kArrayYield);
+  EXPECT_EQ(with_activity.rows, 4u);
+  EXPECT_EQ(with_activity.budget, 16u);
 }
 
 TEST(CampaignManifest, ValidationCatchesBadJobs) {
@@ -147,9 +151,6 @@ TEST(CampaignManifest, ValidationCatchesBadJobs) {
   EXPECT_THROW(manifest.validate(), std::invalid_argument);
   manifest.budget = 16;
   EXPECT_NO_THROW(manifest.validate());
-  manifest = Manifest{};
-  manifest.activity = "turbo";
-  EXPECT_THROW(manifest.validate(), std::invalid_argument);
   EXPECT_THROW(kind_from_string("bogus"), std::invalid_argument);
 }
 
@@ -168,6 +169,20 @@ TEST(CampaignManifest, ShardPartitionCoversBudgetExactly) {
   EXPECT_EQ(covered, 23u);
   EXPECT_EQ(shard_spec(manifest, 4).count, 3u);  // partial tail shard
   EXPECT_THROW(shard_spec(manifest, 5), std::out_of_range);
+
+  // Shard sizes near 2^64 must not wrap the count to zero shards.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t size : {kMax, kMax - 1, kMax / 2 + 1}) {
+    manifest.shard_size = size;
+    ASSERT_EQ(manifest.shard_count(), 1u) << size;
+    EXPECT_EQ(shard_spec(manifest, 0).count, 23u);
+  }
+  manifest.budget = kMax;
+  manifest.shard_size = 2;
+  EXPECT_EQ(manifest.shard_count(), kMax / 2 + 1);
+  EXPECT_EQ(shard_spec(manifest, kMax / 2).count, 1u);
+  manifest.shard_size = kMax;
+  EXPECT_EQ(manifest.shard_count(), 1u);
 }
 
 /// Every solver and sampler counter a distinct value, set in table order.
@@ -378,7 +393,7 @@ class CampaignCheckpointFiles : public ::testing::Test {
 
 TEST_F(CampaignCheckpointFiles, AtomicWriteLeavesNoTempFile) {
   std::filesystem::create_directories(dir_);
-  const std::string path = dir_ + "/state.json";
+  const std::string path = dir_ + "/status.json";
   write_file_atomic(path, "{\"a\": 1}");
   write_file_atomic(path, "{\"a\": 2}");
   EXPECT_EQ(read_file(path), "{\"a\": 2}");

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -212,6 +213,57 @@ TEST_F(CampaignServiceTest, LedgerLoadSortsByIndexAndDropsDuplicates) {
   EXPECT_EQ(fold_ledger(manifest, ledger).shards_done, 3u);
 }
 
+TEST_F(CampaignServiceTest, IncrementalLedgerReadsMatchAFullLoad) {
+  Manifest manifest = small_manifest();
+  manifest.budget = 40;
+  manifest.shard_size = 10;
+  Checkpoint checkpoint(dir("c"));
+  checkpoint.init(manifest);
+  std::vector<ShardResult> seen;
+  std::uint64_t offset = checkpoint.read_ledger(0, seen);  // no ledger yet
+  EXPECT_EQ(offset, 0u);
+  EXPECT_TRUE(seen.empty());
+
+  checkpoint.append_ledger(make_shard(2));
+  checkpoint.append_ledger(make_shard(0, /*marker=*/1.0));
+  offset = checkpoint.read_ledger(offset, seen);
+  ASSERT_EQ(seen.size(), 2u);
+  EXPECT_EQ(seen[0].index, 0u);
+  EXPECT_EQ(seen[1].index, 2u);
+
+  // A later duplicate of shard 0 loses to the line read earlier, and a
+  // torn tail is left unread until a later append fences it off.
+  checkpoint.append_ledger(make_shard(1));
+  checkpoint.append_ledger(make_shard(0, /*marker=*/2.0));
+  {
+    std::ofstream out(checkpoint.ledger_path(),
+                      std::ios::binary | std::ios::app);
+    out << "{\"shard\": 3, \"samp";
+  }
+  ::testing::internal::CaptureStderr();
+  offset = checkpoint.read_ledger(offset, seen);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("torn"),
+            std::string::npos);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].wall_seconds, 1.0);
+  EXPECT_LT(offset, std::filesystem::file_size(checkpoint.ledger_path()));
+
+  checkpoint.append_ledger(make_shard(3));
+  ::testing::internal::CaptureStderr();
+  offset = checkpoint.read_ledger(offset, seen);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("malformed"),
+            std::string::npos);
+  EXPECT_EQ(offset, std::filesystem::file_size(checkpoint.ledger_path()));
+  ::testing::internal::CaptureStderr();
+  const auto full = checkpoint.load_ledger();
+  ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(seen.size(), full.size());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(seen[i].index, i);
+    EXPECT_EQ(seen[i].to_json(), full[i].to_json());
+  }
+}
+
 TEST_F(CampaignServiceTest, FoldStopsAtAGapLeftByADeadWorker) {
   Manifest manifest = small_manifest();
   manifest.budget = 40;
@@ -301,7 +353,7 @@ TEST_F(CampaignServiceTest, StatusSeesAConsistentSnapshotUnderInFlightWriters) {
 }
 
 TEST_F(CampaignServiceTest, ConcurrentAtomicReplacersNeverTearTheFile) {
-  const std::string path = dir("c") + "/state.json";
+  const std::string path = dir("c") + "/status.json";
   std::filesystem::create_directories(dir("c"));
   const std::string contents[2] = {std::string(4096, 'a'),
                                    std::string(4096, 'b')};
@@ -436,8 +488,7 @@ TEST_F(CampaignServiceTest, CoordinatorReclaimsExpiredLeasesAndPublishes) {
   EXPECT_EQ(status_json.get_u64("svc_leases_reclaimed", 0), 1u);
   EXPECT_EQ(status_json.get_string("status", ""), "paused");
 
-  // After a worker finishes the campaign, a tick publishes completion and
-  // state.json for pre-service `status` consumers.
+  // After a worker finishes the campaign, a tick publishes completion.
   WorkerOptions worker;
   worker.dir = dir("c");
   worker.worker_id = "w1";
@@ -451,10 +502,11 @@ TEST_F(CampaignServiceTest, CoordinatorReclaimsExpiredLeasesAndPublishes) {
   ASSERT_EQ(after.workers.size(), 1u);
   EXPECT_EQ(after.workers.front().worker, "w1");
   EXPECT_EQ(after.workers.front().samples, 24u);
-  const auto state =
-      JsonObject::parse(Checkpoint(dir("c")).load_state());
-  EXPECT_EQ(state.get_string("status", ""), "complete");
-  EXPECT_EQ(state.get_u64("budget_used", 0), 24u);
+  const auto published =
+      JsonObject::parse(read_file(Checkpoint(dir("c")).status_path()));
+  EXPECT_EQ(published.get_string("status", ""), "complete");
+  EXPECT_EQ(published.get_u64("budget_used", 0), 24u);
+  EXPECT_FALSE(std::filesystem::exists(Checkpoint(dir("c")).state_path()));
 }
 
 TEST_F(CampaignServiceTest, ServeRunsUntilAWorkerFinishesTheCampaign) {
@@ -589,6 +641,47 @@ TEST_F(CampaignServiceCliTest, UnusableWorkerIdIsRejected) {
   EXPECT_NE(err_.find("worker-id"), std::string::npos);
   EXPECT_EQ(run_cli({"work", "--dir", dir("c"), "--worker-id", "a\"b"}), 1);
   EXPECT_NE(err_.find("worker-id"), std::string::npos);
+}
+
+// Count flags are unsigned: a negative value is an error naming the flag,
+// and nothing is written — not a wrapped 2^64-scale count.
+TEST_F(CampaignServiceCliTest, NegativeCountFlagsAreRejectedBeforeAnyWrite) {
+  const std::string d = dir("c");
+  EXPECT_EQ(run_cli({"run", "--dir", d, "--samples", "12", "--shard", "-1"}),
+            2);
+  EXPECT_NE(err_.find("--shard"), std::string::npos);
+  EXPECT_EQ(run_cli({"init", "--dir", d, "--samples", "-12"}), 2);
+  EXPECT_NE(err_.find("--samples"), std::string::npos);
+  EXPECT_EQ(run_cli({"run", "--dir", d, "--samples", "12", "--shard", "4",
+                     "--max-shards", "-1"}),
+            1);
+  EXPECT_NE(err_.find("--max-shards"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(d));
+
+  Checkpoint(d).init(small_manifest());
+  EXPECT_EQ(run_cli({"work", "--dir", d, "--max-shards", "-2"}), 1);
+  EXPECT_NE(err_.find("--max-shards"), std::string::npos);
+  EXPECT_FALSE(Checkpoint(d).has_ledger());
+  // Zero keeps its meaning: a validation error for a shard size...
+  EXPECT_EQ(run_cli({"init", "--dir", dir("z"), "--shard", "0"}), 2);
+  EXPECT_NE(err_.find("shard_size"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(dir("z")));
+}
+
+// A shard size near 2^64 once wrapped the shard count to zero, so `run`
+// and `work` polled forever; it is one shard holding the whole budget.
+TEST_F(CampaignServiceCliTest, HugeShardSizeIsOneShard) {
+  Manifest manifest = small_manifest();
+  manifest.budget = 3;
+  manifest.shard_size = std::numeric_limits<std::uint64_t>::max();
+  const std::string d = dir("c");
+  Checkpoint(d).init(manifest);
+  EXPECT_EQ(run_cli({"work", "--dir", d, "--max-seconds", "60", "--quiet"}),
+            0);
+  const CampaignResult status = campaign_status(d);
+  EXPECT_TRUE(status.complete);
+  EXPECT_EQ(status.shards_done, 1u);
+  EXPECT_EQ(status.samples_done, 3u);
 }
 
 /// The headline acceptance test (ISSUE 7): four worker processes share one

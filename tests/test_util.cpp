@@ -167,6 +167,20 @@ TEST(Cli, CountRejectsNonPositiveValues) {
   EXPECT_EQ(cli.get_count("absent", 5), 5);
 }
 
+TEST(Cli, UnsignedRejectsNegativeValues) {
+  const char* argv[] = {"prog", "--shard=-1", "--cap=0", "--n=12"};
+  Cli cli(4, argv);
+  EXPECT_THROW(cli.get_u64("shard", 5), std::invalid_argument);
+  try {
+    cli.get_u64("shard", 5);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--shard"), std::string::npos);
+  }
+  EXPECT_EQ(cli.get_u64("cap", 5), 0u);
+  EXPECT_EQ(cli.get_u64("n", 5), 12u);
+  EXPECT_EQ(cli.get_u64("absent", 5), 5u);
+}
+
 TEST(Cli, HexSeedParses) {
   const char* argv[] = {"prog", "--seed=0xff"};
   Cli cli(2, argv);
