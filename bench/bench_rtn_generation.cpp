@@ -1,10 +1,11 @@
-// RTN-generation hot-path benchmark: Algorithm 1 over the 6T write-pattern
-// workload (65nm, pattern 101), run twice — once with the piecewise
-// per-state majorant (the default) and once on the classic fixed-bound
-// thinning path (`use_majorant = false`). Both paths sample the same law
-// (asserted by the equivalence tests and cross-checked loosely here); the
-// candidate-count ratio is the work the envelope saves. Emits one
-// machine-readable JSON line (scripted against BENCH_rtn_generation.json).
+// RTN-generation hot-path benchmark: core::generate_device_rtn over the 6T
+// write-pattern workload (65nm, pattern 101), run twice — once with the
+// piecewise per-state majorant (the default) and once on the classic
+// fixed-bound thinning path (`use_majorant = false`). Both paths sample the
+// same law (asserted by the equivalence and law tests and cross-checked
+// loosely here); the candidate-count ratio is the work the envelope saves.
+// Emits one machine-readable JSON line (scripted against
+// BENCH_rtn_generation.json).
 //
 // `--quick` shrinks the pass counts for use as a smoke test under
 // `ctest -L perf`; `--passes N` overrides the per-batch pass count.
@@ -44,23 +45,30 @@ struct ModeReport {
   double candidates_per_sec = 0.0;  ///< aggregate candidates / total wall
 };
 
-/// One pass = generate for all six transistors' prebuilt workloads,
-/// mirroring the methodology's phase-2 seeding so pass p is deterministic
-/// and both modes consume identical per-trap streams. The propensity
-/// tabulations (all surface-potential work) live in the workloads, built
-/// once in setup: a pass times Algorithm 1 plus the render walk — the part
-/// the majorant actually accelerates, and the part a Monte-Carlo campaign
-/// re-runs per sample.
-void run_pass(const std::vector<core::DeviceRtnWorkload>& workloads,
+/// One transistor's generator inputs, extracted once in setup.
+struct Device {
+  physics::MosDevice device;
+  const sram::TransistorRtn* rtn;
+};
+
+/// One pass = generate_device_rtn for all six transistors, mirroring the
+/// methodology's phase-2 seeding so pass p is deterministic and both modes
+/// consume identical per-trap streams. A pass times everything a
+/// Monte-Carlo campaign re-runs per device: the bias schedule, each trap's
+/// bound (chunk majorant, or the fixed path's windowed max over every
+/// schedule point), Algorithm 1 and the render walk.
+void run_pass(const physics::SrhModel& srh, const std::vector<Device>& devices,
               double t_end, bool use_majorant, std::uint64_t pass) {
   core::RtnGeneratorOptions gen;
   gen.t0 = 0.0;
   gen.tf = t_end;
   gen.uniformisation.use_majorant = use_majorant;
   util::Rng rng(0xB5EFu + pass);
-  for (std::size_t m = 0; m < workloads.size(); ++m) {
+  for (std::size_t m = 0; m < devices.size(); ++m) {
     util::Rng trap_rng = rng.split(m * 977 + 13);
-    (void)workloads[m].generate(trap_rng, gen);
+    const sram::TransistorRtn& rtn = *devices[m].rtn;
+    (void)core::generate_device_rtn(srh, devices[m].device, rtn.traps,
+                                    rtn.v_gs, rtn.i_d, trap_rng, gen);
   }
 }
 
@@ -71,7 +79,7 @@ void run_pass(const std::vector<core::DeviceRtnWorkload>& workloads,
 /// separate blocks hands a systematic few-percent penalty to whichever
 /// block runs while the clock is still ramping. The ~20 ns clock reads
 /// are noise against the ~10 ms passes.
-void run_batch(const std::vector<core::DeviceRtnWorkload>& workloads,
+void run_batch(const physics::SrhModel& srh, const std::vector<Device>& devices,
                double t_end, int passes, std::uint64_t& pass,
                ModeReport& majorant, ModeReport& fixed,
                double& wall_majorant, double& wall_fixed) {
@@ -80,10 +88,10 @@ void run_batch(const std::vector<core::DeviceRtnWorkload>& workloads,
   for (int p = 0; p < passes; ++p) {
     const auto s0 = core::uniformisation_stats_snapshot();
     const auto a = std::chrono::steady_clock::now();
-    run_pass(workloads, t_end, /*use_majorant=*/true, pass);
+    run_pass(srh, devices, t_end, /*use_majorant=*/true, pass);
     const auto b = std::chrono::steady_clock::now();
     const auto s1 = core::uniformisation_stats_snapshot();
-    run_pass(workloads, t_end, /*use_majorant=*/false, pass);
+    run_pass(srh, devices, t_end, /*use_majorant=*/false, pass);
     const auto c = std::chrono::steady_clock::now();
     const auto s2 = core::uniformisation_stats_snapshot();
     seconds_m += std::chrono::duration<double>(b - a).count();
@@ -135,16 +143,15 @@ int main(int argc, char** argv) {
   const auto config = base_config();
   const auto setup = sram::run_methodology(config);
   const physics::SrhModel srh(config.tech);
-  std::vector<core::DeviceRtnWorkload> workloads;
+  std::vector<Device> devices;
   std::size_t total_traps = 0;
   for (int m = 1; m <= 6; ++m) {
     const auto& entry = setup.rtn[static_cast<std::size_t>(m - 1)];
-    workloads.emplace_back(
-        srh,
-        physics::MosDevice(config.tech, physics::MosType::kNmos,
-                           sram::transistor_geometry(config.tech,
-                                                     config.sizing, m)),
-        entry.traps, entry.v_gs, entry.i_d);
+    devices.push_back(
+        {physics::MosDevice(config.tech, physics::MosType::kNmos,
+                            sram::transistor_geometry(config.tech,
+                                                      config.sizing, m)),
+         &entry});
     total_traps += entry.traps.size();
   }
   const double t_end = setup.pattern.t_end;
@@ -157,13 +164,13 @@ int main(int argc, char** argv) {
 
   ModeReport majorant, fixed;
   majorant.ms_per_pass = fixed.ms_per_pass = 1e300;
-  run_pass(workloads, t_end, /*use_majorant=*/true, 0);   // warmup
-  run_pass(workloads, t_end, /*use_majorant=*/false, 0);  // warmup
+  run_pass(srh, devices, t_end, /*use_majorant=*/true, 0);   // warmup
+  run_pass(srh, devices, t_end, /*use_majorant=*/false, 0);  // warmup
   std::uint64_t pass = 1;
   double wall_m = 0.0;
   double wall_f = 0.0;
   for (int b = 0; b < batches; ++b) {
-    run_batch(workloads, t_end, passes, pass, majorant, fixed, wall_m,
+    run_batch(srh, devices, t_end, passes, pass, majorant, fixed, wall_m,
               wall_f);
   }
   majorant.candidates_per_sec =
@@ -207,9 +214,9 @@ int main(int argc, char** argv) {
                 reduction);
     return 1;
   }
-  // A pass times only the sampler (propensities are prebuilt in the
-  // workloads), so the candidates the envelope saves must show up as wall
-  // clock: the contract is a 1.3x speedup over fixed-bound thinning.
+  // A pass times the whole generator, so the candidates and the schedule
+  // scans the envelope saves must show up as wall clock: the contract is a
+  // 1.3x speedup over fixed-bound thinning.
   // Quick mode times too few passes for a tight line — gate it loosely so
   // scheduler noise cannot flake the smoke test, and say so.
   const double speedup_floor = quick ? 0.7 : 1.3;

@@ -95,15 +95,71 @@ RateMajorant FunctionalPropensity::majorant(double t0, double t1) const {
 
 namespace {
 
-/// The model's surface state at every bias point: the one routine behind
-/// both a schedule's surface column and a column-less schedule's per-trap
-/// pass.
-std::vector<physics::SurfaceState> surface_states(
-    const physics::SrhModel& model, const std::vector<double>& bias) {
-  std::vector<physics::SurfaceState> surface;
-  surface.reserve(bias.size());
-  for (double v : bias) surface.push_back(model.surface_state(v));
-  return surface;
+/// The model's surface state at every point and the chunk extremes: the
+/// one routine behind both a schedule built with a model and the column
+/// a propensity adds to a column-less schedule.
+void add_surface(const physics::SrhModel& model, BiasSchedule& schedule) {
+  auto& surface = schedule.surface;
+  surface.clear();
+  surface.reserve(schedule.bias.size());
+  for (double v : schedule.bias) surface.push_back(model.surface_state(v));
+
+  schedule.chunks.clear();
+  if (surface.size() < 2) return;
+  // Chunk ends: every intervals/kChunks intervals, and both ends of any
+  // interval spanning at least 1/kChunks of the schedule. The refinement
+  // leaves a flat stretch of bias as one long interval; on its own it is
+  // bounded exactly, instead of by the extreme of the edge next to it.
+  const auto& ts = schedule.times;
+  const std::size_t intervals = surface.size() - 1;
+  const double long_span =
+      (ts.back() - ts.front()) / static_cast<double>(BiasSchedule::kChunks);
+  std::vector<std::size_t> ends;
+  for (std::size_t j = 1; j <= BiasSchedule::kChunks; ++j) {
+    ends.push_back(intervals * j / BiasSchedule::kChunks);
+  }
+  for (std::size_t k = 0; k < intervals; ++k) {
+    if (ts[k + 1] - ts[k] >= long_span) {
+      ends.push_back(k);
+      ends.push_back(k + 1);
+    }
+  }
+  std::sort(ends.begin(), ends.end());
+  ends.erase(std::unique(ends.begin(), ends.end()), ends.end());
+  std::size_t start = 0;
+  for (std::size_t end : ends) {
+    if (end == 0) continue;
+    ScheduleChunk chunk{end, surface[start], surface[start]};
+    for (std::size_t k = start + 1; k <= end; ++k) {
+      const physics::SurfaceState& s = surface[k];
+      chunk.hi.f_ox = std::max(chunk.hi.f_ox, s.f_ox);
+      chunk.hi.ef_minus_ei = std::max(chunk.hi.ef_minus_ei, s.ef_minus_ei);
+      chunk.lo.f_ox = std::min(chunk.lo.f_ox, s.f_ox);
+      chunk.lo.ef_minus_ei = std::min(chunk.lo.ef_minus_ei, s.ef_minus_ei);
+    }
+    schedule.chunks.push_back(chunk);
+    start = end;
+  }
+}
+
+/// A copy of a column-less schedule with the column and chunks added, or
+/// null when `schedule` already carries a column (or is malformed).
+std::shared_ptr<const BiasSchedule> with_own_surface(
+    const physics::SrhModel& model, const BiasSchedule& schedule) {
+  if (!schedule.surface.empty() || schedule.times.empty() ||
+      schedule.bias.size() != schedule.times.size()) {
+    return nullptr;
+  }
+  auto own = std::make_shared<BiasSchedule>(schedule);
+  add_surface(model, *own);
+  return own;
+}
+
+/// λ_c on schedule interval [t_a, t_b] with end values a, b: the one
+/// interpolation formula of `at` and the cursor, that of Pwl::eval.
+double interpolate(double t, double t_a, double t_b, double a, double b) {
+  const double alpha = (t - t_a) / (t_b - t_a);
+  return a + alpha * (b - a);
 }
 
 }  // namespace
@@ -142,7 +198,7 @@ BiasSchedule BiasSchedule::build(const Pwl& v_gs, double max_bias_step) {
 BiasSchedule BiasSchedule::build(const physics::SrhModel& model,
                                  const Pwl& v_gs, double max_bias_step) {
   BiasSchedule schedule = build(v_gs, max_bias_step);
-  schedule.surface = surface_states(model, schedule.bias);
+  add_surface(model, schedule);
   return schedule;
 }
 
@@ -150,119 +206,77 @@ BiasPropensity::BiasPropensity(const physics::SrhModel& model,
                                const physics::Trap& trap, const Pwl& v_gs,
                                double max_bias_step)
     : BiasPropensity(model, trap,
-                     BiasSchedule::build(model, v_gs, max_bias_step)) {}
+                     std::make_shared<const BiasSchedule>(
+                         BiasSchedule::build(model, v_gs, max_bias_step)),
+                     nullptr) {}
 
 BiasPropensity::BiasPropensity(const physics::SrhModel& model,
                                const physics::Trap& trap,
-                               const BiasSchedule& schedule) {
-  const std::size_t n = schedule.times.size();
-  if (n == 0 || schedule.bias.size() != n ||
-      (!schedule.surface.empty() && schedule.surface.size() != n)) {
+                               const BiasSchedule& schedule)
+    : BiasPropensity(model, trap, with_own_surface(model, schedule),
+                     &schedule) {}
+
+BiasPropensity::BiasPropensity(const physics::SrhModel& model,
+                               const physics::Trap& trap,
+                               std::shared_ptr<const BiasSchedule> owned,
+                               const BiasSchedule* schedule)
+    : model_(&model),
+      trap_(trap),
+      total_rate_(model.total_rate(trap)),
+      owned_(std::move(owned)),
+      schedule_(owned_ ? owned_.get() : schedule) {
+  const std::size_t n = schedule_->times.size();
+  const auto& chunks = schedule_->chunks;
+  bool chunks_ok = n >= 2 ? !chunks.empty() && chunks.back().end == n - 1
+                          : chunks.empty();
+  for (std::size_t j = 1; chunks_ok && j < chunks.size(); ++j) {
+    chunks_ok = chunks[j].end > chunks[j - 1].end;
+  }
+  if (n == 0 || schedule_->bias.size() != n ||
+      schedule_->surface.size() != n || !chunks_ok) {
     throw std::invalid_argument("BiasPropensity: malformed schedule");
   }
-  const std::vector<physics::SurfaceState> own_surface =
-      schedule.surface.empty() ? surface_states(model, schedule.bias)
-                               : std::vector<physics::SurfaceState>{};
-  const auto& surface =
-      schedule.surface.empty() ? own_surface : schedule.surface;
-
-  // Tabulate λ_c at every schedule point: the only per-trap cost, one
-  // exponential per point with Λ hoisted out of the loop.
-  total_rate_ = model.total_rate(trap);
-  std::vector<double> lc;
-  lc.reserve(n);
-  for (const physics::SurfaceState& s : surface) {
-    lc.push_back(model.capture_rate(trap, total_rate_, s));
+  // Per chunk, λ_c at the extreme surface states bounds λ_c and λ_e over
+  // it: every IEEE step of capture_rate is monotone in (F_ox, E_F - E_i)
+  // for y_tr >= 0, and so is the clamp. The sampler's run-time bound
+  // check is the backstop for exp's last ulp.
+  envelope_.reserve(chunks.size());
+  for (const ScheduleChunk& chunk : chunks) {
+    const double hi = std::clamp(
+        model.capture_rate(trap, total_rate_, chunk.hi), 0.0, total_rate_);
+    const double lo = std::clamp(
+        model.capture_rate(trap, total_rate_, chunk.lo), 0.0, total_rate_);
+    envelope_.push_back(MajorantSegment{schedule_->times[chunk.end], hi,
+                                        total_rate_ - lo});
   }
-  lambda_c_of_t_ = Pwl(schedule.times, std::move(lc));
-  build_envelope();
-}
-
-void BiasPropensity::build_envelope() {
-  const auto& ts = lambda_c_of_t_.times();
-  const auto& vs = lambda_c_of_t_.values();
-  if (ts.size() < 2) return;  // constant tabulation: majorant() is exact
-  const double t0 = ts.front();
-  const double t1 = ts.back();
-
-  // Per tabulation interval λ_c is linear, so [min, max] over the interval
-  // is attained at its endpoints: bound_c = max, bound_e = Λ - min are
-  // exact. Greedy coalescing then merges neighbours while the merged
-  // envelope integral stays within kCoalesceSlack of the exact one, so
-  // flat bias regions collapse to one segment and fast edges keep only the
-  // resolution they pay for. Each emitted segment also costs the sampler a
-  // fixed walk overhead, which for slow traps dwarfs the candidates a
-  // tighter envelope saves — so runs shorter than 1/kMaxSegments of the
-  // span are merged even past the slack, bounding the segment count.
-  constexpr double kCoalesceSlack = 1.1;
-  constexpr double kMaxSegments = 12.0;
-  const double min_span = (t1 - t0) / kMaxSegments;
-
-  double run_start = t0;   // current run's start time
-  double run_exact = 0.0;  // ∫(bound_c + bound_e)dt of the exact run
-  MajorantSegment run{t0, 0.0, 0.0};
-  bool have_run = false;
-
-  double prev_v = std::clamp(vs.front(), 0.0, total_rate_);
-  for (std::size_t i = 1; i < ts.size(); ++i) {
-    const double prev_t = ts[i - 1];
-    const double next_t = ts[i];
-    const double next_v = std::clamp(vs[i], 0.0, total_rate_);
-    if (next_t > prev_t) {
-      const double bc = std::max(prev_v, next_v);
-      const double be = total_rate_ - std::min(prev_v, next_v);
-      const double exact = (bc + be) * (next_t - prev_t);
-      if (!have_run) {
-        run = MajorantSegment{next_t, bc, be};
-        run_start = prev_t;
-        run_exact = exact;
-        have_run = true;
-      } else {
-        const double merged_bc = std::max(run.bound_c, bc);
-        const double merged_be = std::max(run.bound_e, be);
-        const double merged_integral =
-            (merged_bc + merged_be) * (next_t - run_start);
-        if (next_t - run_start < min_span ||
-            merged_integral <= kCoalesceSlack * (run_exact + exact)) {
-          run.t_end = next_t;
-          run.bound_c = merged_bc;
-          run.bound_e = merged_be;
-          run_exact += exact;
-        } else {
-          envelope_.push_back(run);
-          run = MajorantSegment{next_t, bc, be};
-          run_start = prev_t;
-          run_exact = exact;
-        }
-      }
-    }
-    prev_v = next_v;
-  }
-  if (have_run) envelope_.push_back(run);
 }
 
 physics::Propensities BiasPropensity::at(double t) const {
-  const double lc = std::clamp(lambda_c_of_t_.eval(t), 0.0, total_rate_);
-  return {lc, total_rate_ - lc};
+  const auto& ts = schedule_->times;
+  const std::size_t n = ts.size();
+  if (n < 2 || t <= ts.front()) return clamped(capture(0));
+  if (t >= ts.back()) return clamped(capture(n - 1));
+  const auto k = static_cast<std::size_t>(
+      std::upper_bound(ts.begin(), ts.end(), t) - ts.begin() - 1);
+  return clamped(
+      interpolate(t, ts[k], ts[k + 1], capture(k), capture(k + 1)));
 }
 
 double BiasPropensity::rate_bound(double t0, double t1) const {
   // λ_c is piecewise linear, so its range over [t0, t1] is spanned by the
-  // clipped endpoint values plus the interior breakpoints; λ_e = Λ - λ_c
+  // endpoint values plus the interior schedule points; λ_e = Λ - λ_c
   // turns the range [lo, hi] into the exact bound max(hi, Λ - lo).
-  const auto& ts = lambda_c_of_t_.times();
-  const auto& vs = lambda_c_of_t_.values();
-  double lo = std::clamp(lambda_c_of_t_.eval(t0), 0.0, total_rate_);
+  const auto& ts = schedule_->times;
+  double lo = at(t0).lambda_c;
   double hi = lo;
-  const double end = std::clamp(lambda_c_of_t_.eval(t1), 0.0, total_rate_);
+  const double end = at(t1).lambda_c;
   lo = std::min(lo, end);
   hi = std::max(hi, end);
   const auto first = std::upper_bound(ts.begin(), ts.end(), t0);
   const auto last = std::lower_bound(ts.begin(), ts.end(), t1);
-  for (auto it = first; it != last; ++it) {
+  for (auto it = first; it < last; ++it) {
     const double v =
-        std::clamp(vs[static_cast<std::size_t>(it - ts.begin())], 0.0,
-                   total_rate_);
+        clamped(capture(static_cast<std::size_t>(it - ts.begin()))).lambda_c;
     lo = std::min(lo, v);
     hi = std::max(hi, v);
   }
@@ -270,18 +284,18 @@ double BiasPropensity::rate_bound(double t0, double t1) const {
 }
 
 RateMajorant BiasPropensity::majorant(double t0, double t1) const {
-  const auto& ts = lambda_c_of_t_.times();
+  const auto& ts = schedule_->times;
   if (envelope_.empty() || t1 <= ts.front() || t0 >= ts.back()) {
-    // Constant tabulation (or the window misses it entirely): one segment
+    // A one-point schedule (or the window misses it entirely): one segment
     // with the exact per-state rates.
-    const double lc = std::clamp(lambda_c_of_t_.eval(t0), 0.0, total_rate_);
-    return RateMajorant::single(t1, lc, total_rate_ - lc);
+    const physics::Propensities p = at(t0);
+    return RateMajorant::single(t1, p.lambda_c, p.lambda_e);
   }
 
-  // Clip the precomputed envelope. The first overlapping segment's bounds
-  // dominate [t0, its end] even when t0 predates the tabulation (λ_c is
-  // constant there at its front value, which that segment already covers);
-  // any tail past the tabulation is constant at the back value.
+  // Clip the chunk envelope. The first overlapping segment's bounds
+  // dominate [t0, its end] even when t0 predates the schedule (λ_c is
+  // constant there at its front value, which that chunk already covers);
+  // any tail past the schedule is constant at the back value.
   std::vector<MajorantSegment> clipped;
   for (const auto& seg : envelope_) {
     if (seg.t_end <= t0) continue;
@@ -292,11 +306,43 @@ RateMajorant BiasPropensity::majorant(double t0, double t1) const {
     }
   }
   if (clipped.empty() || clipped.back().t_end < t1) {
-    const double lc =
-        std::clamp(lambda_c_of_t_.values().back(), 0.0, total_rate_);
-    clipped.push_back(MajorantSegment{t1, lc, total_rate_ - lc});
+    const physics::Propensities p = clamped(capture(ts.size() - 1));
+    clipped.push_back(MajorantSegment{t1, p.lambda_c, p.lambda_e});
   }
   return RateMajorant(std::move(clipped));
+}
+
+double BiasPropensity::Cursor::capture(std::size_t k) const {
+  if (cached_[0] == k) return values_[0];
+  if (cached_[1] == k) return values_[1];
+  const double v = p_->capture(k);
+  cached_[0] = cached_[1];
+  values_[0] = values_[1];
+  cached_[1] = k;
+  values_[1] = v;
+  return v;
+}
+
+physics::Propensities BiasPropensity::Cursor::operator()(double t) const {
+  const double* ts = p_->schedule_->times.data();
+  const std::size_t n = p_->schedule_->times.size();
+  if (n < 2 || t <= ts[0]) return p_->clamped(capture(0));
+  if (t >= ts[n - 1]) return p_->clamped(capture(n - 1));
+  // Candidate times are nondecreasing within a simulate call, so the
+  // interval only moves forward: to the first k with t <= ts[k + 1]. A
+  // time behind the interval (a fresh window; never on one candidate
+  // stream) searches from the start.
+  if (t > ts[interval_ + 1] || t < ts[interval_]) {
+    const std::size_t from = t < ts[interval_] ? 1 : interval_ + 1;
+    interval_ = static_cast<std::size_t>(
+        std::lower_bound(ts + from, ts + n - 1, t) - ts - 1);
+  }
+  const std::size_t k = interval_;
+  // Both ends through the cache: moving one interval on reuses the left
+  // end as the right end of the last interval.
+  const double a = capture(k);
+  const double b = capture(k + 1);
+  return p_->clamped(interpolate(t, ts[k], ts[k + 1], a, b));
 }
 
 }  // namespace samurai::core

@@ -26,6 +26,9 @@
 //    cover the queried window. Zero bounds certify a frozen propensity.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -127,77 +130,136 @@ class FunctionalPropensity final : public PropensityFunction {
   std::vector<MajorantSegment> envelope_;  ///< optional; empty = fallback
 };
 
-/// Refined per-device bias schedule: the tabulation time grid (bias
-/// breakpoints subdivided so no segment's voltage change exceeds
-/// `max_bias_step`) together with the bias value at each point and,
-/// when built with a model, the surface state (F_ox, E_F - E_i) there.
-/// None of it depends on the trap, so a device's traps share one schedule
-/// and each pays only one exponential per point for its own λ_c;
-/// BiasPropensity built from a schedule is bit-identical to one built from
-/// the waveform directly.
+/// One run of consecutive schedule intervals: the index of its last point
+/// and the componentwise extremes of the surface state over its points,
+/// both ends included. Only F_ox and E_F - E_i are meaningful in `hi` and
+/// `lo`; they need not be the state at any one point.
+struct ScheduleChunk {
+  std::size_t end = 0;
+  physics::SurfaceState hi{};  ///< {max F_ox, max E_F - E_i}
+  physics::SurfaceState lo{};  ///< {min F_ox, min E_F - E_i}
+};
+
+/// Refined per-device bias schedule: the time grid (bias breakpoints
+/// subdivided so no segment's voltage change exceeds `max_bias_step`)
+/// together with the bias value at each point and, when built with a
+/// model, the surface state (F_ox, E_F - E_i) there plus per-chunk
+/// extremes of it. None of it depends on the trap, so a device's traps
+/// share one schedule; BiasPropensity built from a schedule is
+/// bit-identical to one built from the waveform directly.
 struct BiasSchedule {
   std::vector<double> times;
   std::vector<double> bias;  ///< v_gs.eval(times[i])
   /// model.surface_state(bias[i]) when built with a model, else empty.
   std::vector<physics::SurfaceState> surface;
+  /// With a surface column: the n - 1 intervals split into kChunks runs
+  /// of equal interval count, and further around every interval that
+  /// spans at least 1/kChunks of the schedule (so at most 3·kChunks
+  /// chunks), neighbours sharing their boundary point, in time order.
+  /// Empty without a column or with one point.
+  std::vector<ScheduleChunk> chunks;
+
+  /// Equal-count chunks per schedule. More chunks draw fewer thinning
+  /// candidates but cost every trap two exponentials each; on perfbench's
+  /// 90 nm methodology sample 16 chunks draw ~880 candidates per sample
+  /// (DESIGN.md §11).
+  static constexpr std::size_t kChunks = 16;
 
   /// The time grid and bias only; BiasPropensity then evaluates the
-  /// surface state per trap.
+  /// surface column and chunks for itself.
   static BiasSchedule build(const Pwl& v_gs, double max_bias_step);
 
-  /// The time grid, bias and the model's surface state at every point.
+  /// The time grid, bias, the model's surface state at every point and
+  /// the chunk extremes.
   static BiasSchedule build(const physics::SrhModel& model, const Pwl& v_gs,
                             double max_bias_step);
 };
 
 /// SRH trap propensities under a time-varying gate bias V_gs(t).
 ///
-/// Evaluating the surface-potential solve per candidate event would be
-/// wasteful (uniformisation of a shallow trap draws millions of
-/// candidates), so the propensities are precomputed at the bias
-/// breakpoints — refined so no segment's bias change exceeds
-/// `max_bias_step` — and linearly interpolated in time. λ_c + λ_e = Λ is
-/// constant (paper Eq. 1), so per tabulation segment λ_c is linear and
-/// λ_e = Λ - λ_c: both `rate_bound` (windowed max of max(λ_c, λ_e)) and
-/// the per-segment `majorant` are exact for the tabulated propensities.
+/// λ_c(t) is the linear interpolation in time of λ_c at the schedule
+/// points, and λ_e = Λ - λ_c (paper Eq. 1). Nothing is tabulated per trap:
+/// λ_c(t) = Λ/(1 + β) is monotone in the surface state (F_ox, E_F - E_i)
+/// for y_tr >= 0 (paper Eq. 2), so λ_c at a chunk's `hi` state bounds λ_c
+/// over the chunk and λ_c at its `lo` state bounds λ_e. Construction
+/// costs two exponentials per chunk for that majorant; λ_c itself is
+/// evaluated on demand, at the two schedule points around each query.
 ///
-/// The coalesced envelope over the full tabulation span is built once at
-/// construction (riding the pass that tabulates λ_c anyway); `majorant`
-/// clips it, so a simulate call costs O(envelope segments), not another
-/// walk over every tabulation point.
+/// The model and the schedule passed in must outlive the propensity (the
+/// waveform constructor, and a schedule without a surface column, give
+/// the propensity its own schedule, shared by its copies).
 class BiasPropensity final : public PropensityFunction {
  public:
   BiasPropensity(const physics::SrhModel& model, const physics::Trap& trap,
                  const Pwl& v_gs, double max_bias_step = 0.01);
 
-  /// Tabulate from a prebuilt schedule (one exponential per schedule
-  /// point). Equivalent to the waveform constructor with the (v_gs,
-  /// max_bias_step) the schedule was built from — devices with many traps
-  /// build the schedule once and amortise the waveform refinement and the
-  /// surface-state lookups. A schedule without a surface column gets one
-  /// evaluated here, for this trap only.
+  /// From a prebuilt schedule: equivalent to the waveform constructor with
+  /// the (v_gs, max_bias_step) the schedule was built from. Devices with
+  /// many traps build the schedule once and amortise the waveform
+  /// refinement and the surface-state lookups. A schedule without a
+  /// surface column is copied and given one, for this trap only.
   BiasPropensity(const physics::SrhModel& model, const physics::Trap& trap,
                  const BiasSchedule& schedule);
 
+  // The propensity reads the model and the schedule after construction.
+  BiasPropensity(physics::SrhModel&&, const physics::Trap&, const Pwl&,
+                 double = 0.01) = delete;
+  BiasPropensity(physics::SrhModel&&, const physics::Trap&,
+                 const BiasSchedule&) = delete;
+  BiasPropensity(const physics::SrhModel&, const physics::Trap&,
+                 BiasSchedule&&) = delete;
+
   physics::Propensities at(double t) const override;
+  /// The exact windowed max, evaluating λ_c at every schedule point in
+  /// the window: the fixed-bound path's cost, not the majorant's.
   double rate_bound(double t0, double t1) const override;
   RateMajorant majorant(double t0, double t1) const override;
 
   /// The trap's constant total rate Λ (paper Eq. 1).
   double total_rate() const noexcept { return total_rate_; }
 
-  /// The tabulated λ_c(t) table backing `at` — the uniformisation kernel's
-  /// devirtualised fast path interpolates it with a monotone cursor
-  /// instead of paying a virtual call + binary search per candidate.
-  const Pwl& lambda_c_table() const noexcept { return lambda_c_of_t_; }
+  /// `at` along nondecreasing times, for the uniformisation kernel: a
+  /// monotone cursor over the schedule that caches λ_c at the last two
+  /// schedule points it evaluated, so a thinning candidate costs at most
+  /// two exponentials and no virtual call. Same value as `at` except
+  /// exactly at a schedule point, where the cursor may interpolate from
+  /// the interval on its left (alpha = 1).
+  class Cursor {
+   public:
+    explicit Cursor(const BiasPropensity& propensity)
+        : p_(&propensity) {}
+    physics::Propensities operator()(double t) const;
+
+   private:
+    double capture(std::size_t k) const;
+
+    const BiasPropensity* p_;
+    mutable std::size_t interval_ = 0;
+    mutable std::size_t cached_[2] = {SIZE_MAX, SIZE_MAX};
+    mutable double values_[2] = {0.0, 0.0};
+  };
 
  private:
-  void build_envelope();
+  BiasPropensity(const physics::SrhModel& model, const physics::Trap& trap,
+                 std::shared_ptr<const BiasSchedule> owned,
+                 const BiasSchedule* schedule);
 
+  /// λ_c at schedule point k (unclamped).
+  double capture(std::size_t k) const {
+    return model_->capture_rate(trap_, total_rate_, schedule_->surface[k]);
+  }
+  physics::Propensities clamped(double lambda_c) const {
+    const double lc = std::clamp(lambda_c, 0.0, total_rate_);
+    return {lc, total_rate_ - lc};
+  }
+
+  const physics::SrhModel* model_;
+  physics::Trap trap_;
   double total_rate_;
-  Pwl lambda_c_of_t_;  ///< interpolated λ_c(t); λ_e = Λ - λ_c
-  /// Precomputed coalesced envelope over [times.front(), times.back()];
-  /// empty when the tabulation is constant.
+  std::shared_ptr<const BiasSchedule> owned_;  ///< set when built here
+  const BiasSchedule* schedule_;  ///< owned_ or the caller's schedule
+  /// One segment per schedule chunk, over [times.front(), times.back()];
+  /// empty for a one-point schedule.
   std::vector<MajorantSegment> envelope_;
 };
 

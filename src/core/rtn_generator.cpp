@@ -42,64 +42,6 @@ std::vector<double> build_rtn_grid(double t0, double tf,
   return grid;
 }
 
-namespace {
-
-/// Common tail of both generators: aggregate the occupancy and render
-/// Eq. 3 as a PWL waveform — the smooth envelope sampled on a uniform
-/// grid with every occupancy switch inserted exactly (plus a twin point
-/// just before it so the step survives PWL interpolation). The grid is
-/// sorted, so the occupancy is advanced with a monotone cursor instead of
-/// a binary search per point (same semantics as StepTrace::eval: value at
-/// the last switch time <= t).
-template <typename AmplitudeFn>
-void render_trace(DeviceRtnResult& result, const RtnGeneratorOptions& options,
-                  AmplitudeFn&& amplitude_at) {
-  result.n_filled = aggregate_filled_count(result.trajectories);
-  const std::vector<double> grid =
-      build_rtn_grid(options.t0, options.tf, options.envelope_samples,
-                     result.n_filled.times());
-
-  const auto& switch_times = result.n_filled.times();
-  const auto& counts = result.n_filled.values();
-  std::size_t cursor = 0;
-  double occupancy = result.n_filled.initial_value();
-  Pwl trace;
-  double prev_t = options.t0 - 1.0;
-  for (double t : grid) {
-    if (!(t > prev_t)) continue;
-    while (cursor < switch_times.size() && switch_times[cursor] <= t) {
-      occupancy = counts[cursor++];
-    }
-    trace.append(t, options.amplitude_scale * amplitude_at(t) * occupancy);
-    prev_t = t;
-  }
-  result.i_rtn = std::move(trace);
-}
-
-/// Per-trap fan-out shared by both generators: trap i draws only from
-/// rng.split(i + 1) and writes only slot i, so the result is bit-identical
-/// for any thread count; the sampler stats are reduced in index order.
-template <typename PropensityOf>
-void simulate_traps(DeviceRtnResult& result,
-                    const std::vector<physics::Trap>& traps,
-                    util::Rng& rng, const RtnGeneratorOptions& options,
-                    PropensityOf&& propensity_of) {
-  result.trajectories.resize(traps.size());
-  std::vector<UniformisationStats> trap_stats(traps.size());
-  util::parallel_for_indexed(
-      traps.size(),
-      [&](std::size_t i) {
-        util::Rng trap_rng = rng.split(i + 1);
-        result.trajectories[i] = simulate_trap(
-            propensity_of(i), options.t0, options.tf, traps[i].init_state,
-            trap_rng, options.uniformisation, &trap_stats[i]);
-      },
-      options.threads);
-  for (const auto& stats : trap_stats) result.stats.merge(stats);
-}
-
-}  // namespace
-
 DeviceRtnResult generate_device_rtn(const physics::SrhModel& model,
                                     const physics::MosDevice& device,
                                     const std::vector<physics::Trap>& traps,
@@ -113,56 +55,51 @@ DeviceRtnResult generate_device_rtn(const physics::SrhModel& model,
   // them once and let each trap pay only its own λ_c exponentials.
   const BiasSchedule schedule =
       BiasSchedule::build(model, v_gs, options.max_bias_step);
-  DeviceRtnResult result;
-  simulate_traps(result, traps, rng, options, [&](std::size_t i) {
-    return BiasPropensity(model, traps[i], schedule);
-  });
-  render_trace(result, options, [&](double t) {
-    return rtn_amplitude(device, v_gs.eval(t), i_d.eval(t));
-  });
-  return result;
-}
 
-DeviceRtnWorkload::DeviceRtnWorkload(const physics::SrhModel& model,
-                                     const physics::MosDevice& device,
-                                     std::vector<physics::Trap> traps,
-                                     Pwl v_gs, Pwl i_d, double max_bias_step)
-    : traps_(std::move(traps)) {
-  const BiasSchedule schedule =
-      BiasSchedule::build(model, v_gs, max_bias_step);
-  propensities_.reserve(traps_.size());
-  for (const auto& trap : traps_) {
-    propensities_.emplace_back(model, trap, schedule);
-  }
-  // Tabulate the Eq. 3 amplitude on the schedule grid merged with I_d's
-  // breakpoints: exact at every tabulation point, linear in between. The
-  // schedule grid resolves V_gs to max_bias_step, so the carrier count —
-  // the expensive, bias-driven factor — is sampled at least that finely.
-  std::vector<double> grid = schedule.times;
-  grid.insert(grid.end(), i_d.times().begin(), i_d.times().end());
-  std::sort(grid.begin(), grid.end());
-  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
-  std::vector<double> amps;
-  amps.reserve(grid.size());
+  // Trap i draws only from rng.split(i + 1) and writes only slot i, so the
+  // result is bit-identical for any thread count; the sampler stats are
+  // reduced in index order.
+  DeviceRtnResult result;
+  result.trajectories.resize(traps.size());
+  std::vector<UniformisationStats> trap_stats(traps.size());
+  util::parallel_for_indexed(
+      traps.size(),
+      [&](std::size_t i) {
+        util::Rng trap_rng = rng.split(i + 1);
+        const BiasPropensity propensity(model, traps[i], schedule);
+        result.trajectories[i] = simulate_trap(
+            propensity, options.t0, options.tf, traps[i].init_state,
+            trap_rng, options.uniformisation, &trap_stats[i]);
+      },
+      options.threads);
+  for (const auto& stats : trap_stats) result.stats.merge(stats);
+
+  // Render Eq. 3 as a PWL waveform: the smooth envelope sampled on a
+  // uniform grid with every occupancy switch inserted exactly (plus a twin
+  // point just before it so the step survives PWL interpolation). The
+  // grid is sorted, so the occupancy is advanced with a monotone cursor
+  // instead of a binary search per point (same semantics as
+  // StepTrace::eval: value at the last switch time <= t).
+  result.n_filled = aggregate_filled_count(result.trajectories);
+  const auto& switch_times = result.n_filled.times();
+  const auto& counts = result.n_filled.values();
+  const std::vector<double> grid = build_rtn_grid(
+      options.t0, options.tf, options.envelope_samples, switch_times);
+  std::size_t cursor = 0;
+  double occupancy = result.n_filled.initial_value();
+  Pwl trace;
+  double prev_t = options.t0 - 1.0;
   for (double t : grid) {
-    amps.push_back(rtn_amplitude(device, v_gs.eval(t), i_d.eval(t)));
+    if (!(t > prev_t)) continue;
+    while (cursor < switch_times.size() && switch_times[cursor] <= t) {
+      occupancy = counts[cursor++];
+    }
+    trace.append(t, options.amplitude_scale *
+                        rtn_amplitude(device, v_gs.eval(t), i_d.eval(t)) *
+                        occupancy);
+    prev_t = t;
   }
-  amplitude_ = Pwl(std::move(grid), std::move(amps));
-}
-
-DeviceRtnResult DeviceRtnWorkload::generate(
-    util::Rng& rng, const RtnGeneratorOptions& options) const {
-  if (!(options.tf > options.t0)) {
-    throw std::invalid_argument("DeviceRtnWorkload: tf <= t0");
-  }
-  DeviceRtnResult result;
-  simulate_traps(result, traps_, rng, options,
-                 [&](std::size_t i) -> const BiasPropensity& {
-                   return propensities_[i];
-                 });
-  // Pwl::eval's hint cursor makes the monotone render walk O(1) per point.
-  render_trace(result, options,
-               [&](double t) { return amplitude_.eval(t); });
+  result.i_rtn = std::move(trace);
   return result;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 namespace samurai::core {
@@ -30,20 +31,35 @@ UniformisationStats UniformisationStats::since(
 namespace {
 constinit util::CounterRegistry<std::uint64_t, kUniformisationCounts.size()>
     g_counts;
-constinit util::CounterRegistry<double, kUniformisationSums.size()> g_sums;
+/// The integrals in integer fixed point (kSumUnit per unit): an integer
+/// sum is the same in any order, so a registry delta does not depend on
+/// which thread's simulate call finished first. Per-call stats stay exact
+/// doubles.
+constinit util::CounterRegistry<std::int64_t, kUniformisationSums.size()>
+    g_sums;
+constexpr double kSumUnit = 1048576.0;  // 2^20
 }  // namespace
 
 UniformisationStats uniformisation_stats_snapshot() {
   UniformisationStats stats;
   util::load_counters(kUniformisationCounts, g_counts, stats);
-  util::load_counters(kUniformisationSums, g_sums, stats);
+  for (std::size_t i = 0; i < g_sums.size(); ++i) {
+    stats.*kUniformisationSums[i].field =
+        static_cast<double>(g_sums[i].load(std::memory_order_relaxed)) /
+        kSumUnit;
+  }
   return stats;
 }
 
 namespace detail {
 void uniformisation_stats_accumulate(const UniformisationStats& stats) {
   util::publish_counters(kUniformisationCounts, g_counts, stats);
-  util::publish_counters(kUniformisationSums, g_sums, stats);
+  for (std::size_t i = 0; i < g_sums.size(); ++i) {
+    // Saturated, so an absurd caller-given bound cannot overflow llround.
+    const double units = std::clamp(
+        stats.*kUniformisationSums[i].field * kSumUnit, -0x1p62, 0x1p62);
+    g_sums[i].fetch_add(std::llround(units), std::memory_order_relaxed);
+  }
 }
 }  // namespace detail
 
@@ -105,49 +121,6 @@ struct VirtualEval {
   }
 };
 
-/// Devirtualised BiasPropensity evaluator: interpolates the tabulated
-/// λ_c(t) directly with a monotone segment cursor. Candidate times are
-/// nondecreasing within a simulate call, so the containing segment is
-/// found by walking forward — no virtual dispatch, no binary search, no
-/// shared atomic hint.
-class BiasTableEval {
- public:
-  explicit BiasTableEval(const BiasPropensity& propensity)
-      : times_(propensity.lambda_c_table().times().data()),
-        values_(propensity.lambda_c_table().values().data()),
-        n_(propensity.lambda_c_table().times().size()),
-        total_(propensity.total_rate()) {}
-
-  physics::Propensities operator()(double t) const noexcept {
-    double lc;
-    if (n_ < 2 || t <= times_[0]) {
-      lc = n_ == 0 ? 0.0 : values_[0];
-    } else if (t >= times_[n_ - 1]) {
-      lc = values_[n_ - 1];
-    } else {
-      while (t > times_[cursor_ + 1]) ++cursor_;  // t < times_[n_-1]
-      if (t < times_[cursor_]) {
-        // A fresh window behind the cursor (never happens on the
-        // nondecreasing candidate stream, but keep eval total).
-        cursor_ = 0;
-        while (t > times_[cursor_ + 1]) ++cursor_;
-      }
-      const double span = times_[cursor_ + 1] - times_[cursor_];
-      const double alpha = (t - times_[cursor_]) / span;
-      lc = values_[cursor_] + alpha * (values_[cursor_ + 1] - values_[cursor_]);
-    }
-    lc = std::clamp(lc, 0.0, total_);
-    return {lc, total_ - lc};
-  }
-
- private:
-  const double* times_;
-  const double* values_;
-  std::size_t n_;
-  double total_;
-  mutable std::size_t cursor_ = 0;
-};
-
 /// Walk one window's envelope (Lewis–Shedler / Ogata thinning with a
 /// piecewise-constant, per-state majorant), appending accepted switch
 /// times. The fixed-bound path is the single-segment special case.
@@ -155,8 +128,7 @@ class BiasTableEval {
 template <class Eval>
 physics::TrapState run_envelope(const Eval& eval, const RateMajorant& majorant,
                                 double t0, double tf, physics::TrapState state,
-                                double bound_safety, util::Rng& rng,
-                                RngBlock& block,
+                                util::Rng& rng, RngBlock& block,
                                 const UniformisationOptions& options,
                                 std::uint64_t& candidates_total,
                                 UniformisationStats& local,
@@ -182,9 +154,8 @@ physics::TrapState run_envelope(const Eval& eval, const RateMajorant& majorant,
     const MajorantSegment& seg = segments[si];
     const double seg_end = std::min(seg.t_end, tf);
     ++local.segments;
-    double bound = (state == physics::TrapState::kEmpty ? seg.bound_c
-                                                        : seg.bound_e) *
-                   bound_safety;
+    double bound =
+        state == physics::TrapState::kEmpty ? seg.bound_c : seg.bound_e;
     double mark = t;  // envelope-integral accounting anchor
     for (;;) {
       if (!(bound > 0.0)) {
@@ -231,9 +202,8 @@ physics::TrapState run_envelope(const Eval& eval, const RateMajorant& majorant,
         ++local.accepted;
         local.envelope_integral += bound * (t - mark);
         mark = t;
-        bound = (state == physics::TrapState::kEmpty ? seg.bound_c
-                                                     : seg.bound_e) *
-                bound_safety;
+        bound = state == physics::TrapState::kEmpty ? seg.bound_c
+                                                    : seg.bound_e;
       }
     }
     ++si;
@@ -285,18 +255,17 @@ TrapTrajectory simulate_windows(const PropensityFunction& propensity,
     } else {
       majorant = propensity.majorant(start, end);
       // The fixed-bound comparison integral, read off the envelope instead
-      // of a second rate_bound() scan: segment bounds are maxima of exact
-      // per-interval bounds, so their maximum is the windowed rate bound.
+      // of a rate_bound() scan: the segments' largest bound dominates both
+      // propensities over the window (for a BiasPropensity window that
+      // spans whole chunks it is the windowed max at the schedule points).
       window_bound = 0.0;
       for (const auto& seg : majorant.segments()) {
         window_bound = std::max({window_bound, seg.bound_c, seg.bound_e});
       }
     }
-    local.fixed_bound_integral +=
-        window_bound * options.bound_safety * (end - start);
-    state = run_envelope(eval, majorant, start, end, state,
-                         options.bound_safety, rng, block, options,
-                         candidates_total, local, switches);
+    local.fixed_bound_integral += window_bound * (end - start);
+    state = run_envelope(eval, majorant, start, end, state, rng, block,
+                         options, candidates_total, local, switches);
     start = end;
   };
   for (double boundary : window_boundaries) {
@@ -315,10 +284,11 @@ TrapTrajectory simulate_windows(const PropensityFunction& propensity,
 template <class... Args>
 TrapTrajectory dispatch_simulate(const PropensityFunction& propensity,
                                  Args&&... args) {
-  // One dynamic_cast per simulate call buys a virtual-free, search-free
-  // inner loop for the dominant (BiasPropensity) workload.
+  // One dynamic_cast per simulate call buys a virtual-free inner loop
+  // with a monotone schedule cursor for the dominant (BiasPropensity)
+  // workload.
   if (const auto* bias = dynamic_cast<const BiasPropensity*>(&propensity)) {
-    return simulate_windows(propensity, BiasTableEval(*bias),
+    return simulate_windows(propensity, BiasPropensity::Cursor(*bias),
                             std::forward<Args>(args)...);
   }
   return simulate_windows(propensity, VirtualEval{&propensity},

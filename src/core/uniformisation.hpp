@@ -41,10 +41,6 @@ struct UniformisationOptions {
   /// valid). Setting it forces the fixed-bound path: an explicit scalar
   /// bound and a piecewise envelope are mutually exclusive requests.
   std::optional<double> rate_bound;
-  /// Multiplied onto every bound (fixed or per-segment); >1 trades extra
-  /// rejected candidates for safety margin when using approximate
-  /// propensity tabulations.
-  double bound_safety = 1.0;
   /// Hard cap on candidate events, *total across all windows* of one
   /// simulate call; exceeding it throws (guards against a mis-specified
   /// bound or horizon even when a caller splits the horizon into many
@@ -70,7 +66,7 @@ struct UniformisationStats {
   /// count; per-state bound of the realised trajectory's current state).
   double envelope_integral = 0.0;
   /// What the fixed-bound path would have walked: Σ rate_bound(window) ·
-  /// window length (bound_safety included in both integrals).
+  /// window length.
   double fixed_bound_integral = 0.0;
 
   /// Expected candidate-reduction factor of the walked envelope over the
@@ -107,6 +103,8 @@ static_assert(sizeof(UniformisationStats) ==
 /// Process-wide aggregate of every simulate call so far (atomic,
 /// thread-safe). Snapshot before/after a work region and diff with
 /// UniformisationStats::since to attribute sampler work to that region.
+/// The integrals are kept in fixed point with 2^-20 resolution per call,
+/// so the aggregate is the same whatever order the calls finish in.
 UniformisationStats uniformisation_stats_snapshot();
 
 namespace detail {
@@ -116,8 +114,8 @@ void uniformisation_stats_accumulate(const UniformisationStats& stats);
 /// Algorithm 1: simulate one trap over [t0, tf]. Faithful to the paper:
 /// exponential inter-candidate times at the (segment) bound, thinning by
 /// λ_next/λ*. Candidate times are nondecreasing, which lets the
-/// BiasPropensity fast path advance a monotone segment cursor instead of
-/// binary-searching per candidate.
+/// BiasPropensity fast path advance a monotone schedule cursor
+/// (BiasPropensity::Cursor) and evaluate λ_c only around each candidate.
 TrapTrajectory simulate_trap(const PropensityFunction& propensity, double t0,
                              double tf, physics::TrapState init_state,
                              util::Rng& rng,

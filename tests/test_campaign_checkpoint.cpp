@@ -107,6 +107,17 @@ void expect_ledgers_identical(const std::string& dir_a,
     EXPECT_EQ(a[i].value.count, b[i].value.count);
     EXPECT_EQ(a[i].value.mean, b[i].value.mean);
     EXPECT_EQ(a[i].value.m2, b[i].value.m2);
+    // Every solver and sampler counter, the sampler's integrals included:
+    // they are published in fixed point, so thread order cannot move them.
+    for (const auto& c : spice::kSolverCounters) {
+      EXPECT_EQ(a[i].solver.*c.field, b[i].solver.*c.field) << c.key;
+    }
+    for (const auto& c : core::kUniformisationCounts) {
+      EXPECT_EQ(a[i].rtn.*c.field, b[i].rtn.*c.field) << c.key;
+    }
+    for (const auto& c : core::kUniformisationSums) {
+      EXPECT_EQ(a[i].rtn.*c.field, b[i].rtn.*c.field) << c.key;
+    }
     // wall_seconds is observability, not estimator state: excluded.
   }
 }
@@ -156,6 +167,27 @@ TEST_F(CampaignCheckpointTest, ThreadCountDoesNotChangeResults) {
   const CampaignResult serial = run_campaign(small_importance_manifest(1));
   const CampaignResult threaded = run_campaign(small_importance_manifest(4));
   expect_bit_identical(serial, threaded);
+}
+
+// With RTN on, the sampler counters are nonzero: the ledger, integrals
+// included, must not depend on how many threads ran the shard.
+TEST_F(CampaignCheckpointTest, RtnLedgerCountersAreThreadInvariant) {
+  Manifest manifest = small_importance_manifest(1);
+  manifest.budget = 8;
+  manifest.shard_size = 4;
+  manifest.with_rtn = true;
+  RunOptions serial;
+  serial.dir = dir("serial");
+  ASSERT_TRUE(run_campaign(manifest, serial).complete);
+  manifest.threads = 4;
+  RunOptions threaded;
+  threaded.dir = dir("threaded");
+  ASSERT_TRUE(run_campaign(manifest, threaded).complete);
+  const auto ledger = Checkpoint(dir("serial")).load_ledger();
+  ASSERT_EQ(ledger.size(), 2u);
+  EXPECT_GT(ledger[0].rtn.candidates, 0u);
+  EXPECT_GT(ledger[0].rtn.envelope_integral, 0.0);
+  expect_ledgers_identical(dir("serial"), dir("threaded"));
 }
 
 TEST_F(CampaignCheckpointTest, StatusReflectsPartialLedgerWithoutExecuting) {

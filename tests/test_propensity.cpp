@@ -4,8 +4,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
+#include "core/uniformisation.hpp"
 #include "physics/technology.hpp"
+#include "util/rng.hpp"
 
 namespace samurai::core {
 namespace {
@@ -123,6 +127,25 @@ TEST(FunctionalPropensity, ExplicitEnvelopeIsClippedToTheWindow) {
 
 class BiasPropensityTest : public ::testing::Test {
  protected:
+  /// Traps across the energy window and the oxide depth.
+  std::vector<physics::Trap> trap_grid() const {
+    std::vector<physics::Trap> traps;
+    for (double depth : {0.02, 0.3, 0.65, 0.99}) {
+      for (double energy : {tech_.trap_e_min, 0.55, tech_.trap_e_max}) {
+        traps.push_back(
+            {depth * tech_.t_ox, energy, physics::TrapState::kEmpty});
+      }
+    }
+    return traps;
+  }
+
+  /// A bias that leaves the surface table on both sides (direct-solve
+  /// fallback) and swings through it.
+  Pwl table_leaving_bias() const {
+    const double v_hi = 2.0 * tech_.v_dd + 1.0;  // the table's upper edge
+    return Pwl({0.0, 1e-9, 2e-9, 3e-9}, {-1.3, v_hi + 0.4, 0.3, -1.05});
+  }
+
   physics::Technology tech_ = physics::technology("90nm");
   physics::SrhModel model_{tech_};
   physics::Trap trap_{0.35 * tech_.t_ox, 0.55, physics::TrapState::kEmpty};
@@ -155,9 +178,9 @@ TEST_F(BiasPropensityTest, RateBoundIsTheWindowedPointwiseMax) {
     EXPECT_LE(std::max(p.lambda_c, p.lambda_e), bound * (1.0 + 1e-12));
   }
   // λ_c(t) is piecewise linear, so its windowed extremes sit at the
-  // tabulation breakpoints: the bound must be attained there (tightness).
+  // schedule points: the bound must be attained there (tightness).
   double table_max = 0.0;
-  for (double t : prop.lambda_c_table().times()) {
+  for (double t : BiasSchedule::build(bias, 0.01).times) {
     if (t < 0.0 || t > 2e-9) continue;
     const auto p = prop.at(t);
     table_max = std::max({table_max, p.lambda_c, p.lambda_e});
@@ -219,38 +242,155 @@ TEST_F(BiasPropensityTest, RefinementTracksFastEdges) {
   }
 }
 
-// The tabulated λ_c is the direct model's λ_c, bit for bit, at every
-// schedule point: for traps across the energy window and oxide depth, on a
-// bias that leaves the surface table on both sides (direct-solve
-// fallback), whether the schedule carries a surface column or not.
+// λ_c(t) at every schedule point is the direct model's λ_c, bit for bit:
+// for traps across the energy window and oxide depth, on a bias that
+// leaves the surface table on both sides (direct-solve fallback), whether
+// the schedule carries a surface column or not.
 TEST_F(BiasPropensityTest, TabulationIsBitIdenticalToDirectModel) {
-  const double v_hi = 2.0 * tech_.v_dd + 1.0;  // the table's upper edge
-  const Pwl bias({0.0, 1e-9, 2e-9, 3e-9}, {-1.3, v_hi + 0.4, 0.3, -1.05});
+  const Pwl bias = table_leaving_bias();
   const BiasSchedule bare = BiasSchedule::build(bias, 0.01);
   const BiasSchedule with_surface = BiasSchedule::build(model_, bias, 0.01);
   ASSERT_EQ(with_surface.times, bare.times);
   ASSERT_EQ(with_surface.surface.size(), bare.times.size());
   EXPECT_TRUE(bare.surface.empty());
+  EXPECT_TRUE(bare.chunks.empty());
+  ASSERT_EQ(with_surface.chunks.size(), BiasSchedule::kChunks);
+  EXPECT_EQ(with_surface.chunks.back().end, bare.times.size() - 1);
 
-  for (double depth : {0.02, 0.3, 0.65, 0.99}) {
-    for (double energy : {tech_.trap_e_min, 0.55, tech_.trap_e_max}) {
-      const physics::Trap trap{depth * tech_.t_ox, energy,
-                               physics::TrapState::kEmpty};
-      const BiasPropensity from_bare(model_, trap, bare);
-      const BiasPropensity from_surface(model_, trap, with_surface);
-      const BiasPropensity from_waveform(model_, trap, bias, 0.01);
-      for (const BiasPropensity* prop :
-           {&from_bare, &from_surface, &from_waveform}) {
-        const auto& table = prop->lambda_c_table().values();
-        ASSERT_EQ(table.size(), bare.bias.size());
-        int mismatches = 0;
-        for (std::size_t k = 0; k < table.size(); ++k) {
-          if (table[k] != model_.propensities(trap, bare.bias[k]).lambda_c) {
-            ++mismatches;
-          }
+  for (const physics::Trap& trap : trap_grid()) {
+    const BiasPropensity from_bare(model_, trap, bare);
+    const BiasPropensity from_surface(model_, trap, with_surface);
+    const BiasPropensity from_waveform(model_, trap, bias, 0.01);
+    for (const BiasPropensity* prop :
+         {&from_bare, &from_surface, &from_waveform}) {
+      int mismatches = 0;
+      for (std::size_t k = 0; k < bare.times.size(); ++k) {
+        const auto direct = model_.propensities(trap, bare.bias[k]);
+        const auto lazy = prop->at(bare.times[k]);
+        if (lazy.lambda_c != direct.lambda_c ||
+            lazy.lambda_e != direct.lambda_e) {
+          ++mismatches;
         }
-        EXPECT_EQ(mismatches, 0) << "depth " << depth << " E " << energy;
       }
+      EXPECT_EQ(mismatches, 0) << "y " << trap.y_tr << " E " << trap.e_tr;
+    }
+  }
+}
+
+// Between schedule points, `at` and the sampler's cursor are the linear
+// interpolation of the direct model's λ_c, bit for bit: the same
+// expression Pwl::eval uses, then the same clamp to [0, Λ].
+TEST_F(BiasPropensityTest, InteriorTimesMatchTheInterpolatedReference) {
+  const Pwl bias = table_leaving_bias();
+  const BiasSchedule schedule = BiasSchedule::build(model_, bias, 0.01);
+  util::Rng rng(20260917);
+  std::vector<double> times(1000);
+  for (double& t : times) t = 3e-9 * rng.uniform();
+  std::sort(times.begin(), times.end());
+
+  for (const physics::Trap& trap : trap_grid()) {
+    std::vector<double> direct;
+    for (double v : schedule.bias) {
+      direct.push_back(model_.propensities(trap, v).lambda_c);
+    }
+    const Pwl reference(schedule.times, direct);
+    const BiasPropensity prop(model_, trap, schedule);
+    const BiasPropensity::Cursor cursor(prop);
+    const double total = prop.total_rate();
+    int mismatches = 0;
+    for (double t : times) {
+      const double lc = std::clamp(reference.eval(t), 0.0, total);
+      const auto at = prop.at(t);
+      const auto walked = cursor(t);
+      if (at.lambda_c != lc || at.lambda_e != total - lc ||
+          walked.lambda_c != lc || walked.lambda_e != total - lc) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "y " << trap.y_tr << " E " << trap.e_tr;
+  }
+}
+
+// Each chunk's segment bounds λ_c and λ_e at every schedule point of its
+// chunk, both ends included, with no slack.
+TEST_F(BiasPropensityTest, ChunkBoundsDominateEveryPointOfTheirChunk) {
+  const BiasSchedule schedule =
+      BiasSchedule::build(model_, table_leaving_bias(), 0.01);
+  const auto& ts = schedule.times;
+  for (const physics::Trap& trap : trap_grid()) {
+    const BiasPropensity prop(model_, trap, schedule);
+    const RateMajorant majorant = prop.majorant(ts.front(), ts.back());
+    ASSERT_EQ(majorant.segments().size(), schedule.chunks.size());
+    std::size_t start = 0;
+    int escapes = 0;
+    for (std::size_t j = 0; j < schedule.chunks.size(); ++j) {
+      const ScheduleChunk& chunk = schedule.chunks[j];
+      const MajorantSegment& seg = majorant.segments()[j];
+      EXPECT_EQ(seg.t_end, ts[chunk.end]);
+      for (std::size_t k = start; k <= chunk.end; ++k) {
+        const auto p = prop.at(ts[k]);
+        if (p.lambda_c > seg.bound_c || p.lambda_e > seg.bound_e) ++escapes;
+      }
+      start = chunk.end;
+    }
+    EXPECT_EQ(escapes, 0) << "y " << trap.y_tr << " E " << trap.e_tr;
+  }
+}
+
+/// Two propensities built three ways must agree bit for bit.
+void expect_same_majorant(const RateMajorant& a, const RateMajorant& b) {
+  ASSERT_EQ(a.segments().size(), b.segments().size());
+  for (std::size_t j = 0; j < a.segments().size(); ++j) {
+    EXPECT_EQ(a.segments()[j].t_end, b.segments()[j].t_end);
+    EXPECT_EQ(a.segments()[j].bound_c, b.segments()[j].bound_c);
+    EXPECT_EQ(a.segments()[j].bound_e, b.segments()[j].bound_e);
+  }
+}
+
+// A column-less schedule gets its own column and chunks from the same
+// routine, and the waveform constructor owns its schedule: all three
+// constructions (and copies and moves that outlive the original) give
+// the same majorant, trajectories and sampler stats.
+TEST_F(BiasPropensityTest, BareColumnAndWaveformConstructionsAreBitIdentical) {
+  const Pwl bias = table_leaving_bias();
+  const BiasSchedule bare = BiasSchedule::build(bias, 0.01);
+  const BiasSchedule with_surface = BiasSchedule::build(model_, bias, 0.01);
+  for (const physics::Trap& trap : trap_grid()) {
+    SCOPED_TRACE(testing::Message() << "y " << trap.y_tr << " E "
+                                    << trap.e_tr);
+    std::optional<BiasPropensity> original(std::in_place, model_, trap, bias,
+                                           0.01);
+    const BiasPropensity copy = *original;
+    const BiasPropensity moved = std::move(*original);
+    original.reset();
+    const BiasPropensity from_bare(model_, trap, bare);
+    const BiasPropensity from_surface(model_, trap, with_surface);
+    const std::vector<const BiasPropensity*> props = {&from_surface, &copy,
+                                                      &moved};
+    const RateMajorant expected = from_bare.majorant(0.0, 3e-9);
+    for (const BiasPropensity* prop : props) {
+      expect_same_majorant(expected, prop->majorant(0.0, 3e-9));
+      expect_same_majorant(from_bare.majorant(0.7e-9, 2.2e-9),
+                           prop->majorant(0.7e-9, 2.2e-9));
+    }
+    UniformisationStats expected_stats;
+    util::Rng rng_expected(41);
+    const TrapTrajectory expected_traj =
+        simulate_trap(from_bare, 0.0, 3e-9, trap.init_state, rng_expected,
+                      {}, &expected_stats);
+    for (const BiasPropensity* prop : props) {
+      UniformisationStats stats;
+      util::Rng rng(41);
+      const TrapTrajectory traj =
+          simulate_trap(*prop, 0.0, 3e-9, trap.init_state, rng, {}, &stats);
+      EXPECT_EQ(traj.switch_times(), expected_traj.switch_times());
+      EXPECT_EQ(stats.candidates, expected_stats.candidates);
+      EXPECT_EQ(stats.accepted, expected_stats.accepted);
+      EXPECT_EQ(stats.segments, expected_stats.segments);
+      EXPECT_EQ(stats.rng_refills, expected_stats.rng_refills);
+      EXPECT_EQ(stats.envelope_integral, expected_stats.envelope_integral);
+      EXPECT_EQ(stats.fixed_bound_integral,
+                expected_stats.fixed_bound_integral);
     }
   }
 }

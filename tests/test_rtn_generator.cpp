@@ -53,55 +53,6 @@ TEST_F(RtnGeneratorTest, NoTrapsGiveZeroTrace) {
   for (double v : result.i_rtn.values()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
-TEST_F(RtnGeneratorTest, PrebuiltWorkloadMatchesOneShotGenerator) {
-  // DeviceRtnWorkload bakes the propensity tabulations at construction;
-  // generate() must then reproduce generate_device_rtn's trajectories and
-  // occupancy bit-for-bit (same schedule, same per-trap RNG streams). The
-  // rendered trace uses the tabulated amplitude envelope: exact at
-  // tabulation points, so the waveforms agree to interpolation error.
-  const std::vector<physics::Trap> traps = {
-      {1.2e-9, 0.05, physics::TrapState::kEmpty},
-      {0.8e-9, -0.1, physics::TrapState::kFilled},
-      {1.6e-9, 0.2, physics::TrapState::kEmpty},
-  };
-  const Pwl v_gs({0.0, 0.4e-6, 0.5e-6, 1e-6}, {1.0, 1.0, 0.2, 0.2});
-  const Pwl i_d({0.0, 0.4e-6, 0.5e-6, 1e-6}, {1e-4, 1e-4, 1e-6, 1e-6});
-  RtnGeneratorOptions options;
-  options.tf = 1e-6;
-
-  util::Rng rng_a(77);
-  const auto one_shot =
-      generate_device_rtn(srh_, device_, traps, v_gs, i_d, rng_a, options);
-
-  const DeviceRtnWorkload workload(srh_, device_, traps, v_gs, i_d,
-                                   options.max_bias_step);
-  ASSERT_EQ(workload.num_traps(), traps.size());
-  util::Rng rng_b(77);
-  const auto prebuilt = workload.generate(rng_b, options);
-
-  ASSERT_EQ(one_shot.trajectories.size(), prebuilt.trajectories.size());
-  for (std::size_t i = 0; i < traps.size(); ++i) {
-    const auto& expect = one_shot.trajectories[i].switch_times();
-    const auto& actual = prebuilt.trajectories[i].switch_times();
-    ASSERT_EQ(expect.size(), actual.size()) << "trap " << i;
-    for (std::size_t k = 0; k < expect.size(); ++k) {
-      EXPECT_EQ(expect[k], actual[k]) << "trap " << i << " switch " << k;
-    }
-  }
-  EXPECT_EQ(one_shot.stats.candidates, prebuilt.stats.candidates);
-  EXPECT_EQ(one_shot.stats.accepted, prebuilt.stats.accepted);
-
-  // Same render grid; amplitudes agree closely on it.
-  ASSERT_EQ(one_shot.i_rtn.size(), prebuilt.i_rtn.size());
-  for (std::size_t k = 0; k < one_shot.i_rtn.size(); ++k) {
-    EXPECT_EQ(one_shot.i_rtn.times()[k], prebuilt.i_rtn.times()[k]);
-    const double expect = one_shot.i_rtn.values()[k];
-    const double actual = prebuilt.i_rtn.values()[k];
-    EXPECT_NEAR(actual, expect, 1e-2 * std::abs(expect) + 1e-12)
-        << "sample " << k;
-  }
-}
-
 TEST(RtnGrid, TwinPointsAreAdjacentRepresentableTimes) {
   // Each interior switch gets a twin at nextafter(t, t0): the closest
   // representable instant before the step, so interpolation between twin

@@ -122,7 +122,7 @@ TEST(RtnPipelineStreams, MethodologyUsesTransistorIndexedStreams) {
   config.rtn_scale = 30.0;
   // Non-default settings, so the test also sees them reach every device.
   config.profile.equilibrium_bias = 0.45;
-  config.uniformisation.bound_safety = 1.25;
+  config.uniformisation.use_majorant = false;
   const auto result = sram::run_methodology(config);
   ASSERT_EQ(result.rtn.size(), 6u);
 

@@ -354,21 +354,6 @@ TEST(Uniformisation, WindowedIgnoresBoundariesOutsideHorizon) {
   EXPECT_DOUBLE_EQ(traj.tf(), 3.0);
 }
 
-TEST(Uniformisation, SafetyFactorPreservesStatistics) {
-  // An over-generous bound must not change the law, only the cost.
-  const ConstantPropensity prop(4.0, 2.0);
-  util::Rng rng_a(11), rng_b(12);
-  UniformisationOptions loose;
-  loose.bound_safety = 5.0;
-  UniformisationStats stats_tight, stats_loose;
-  const auto a = simulate_trap(prop, 0.0, 5000.0, TrapState::kEmpty, rng_a,
-                               {}, &stats_tight);
-  const auto b = simulate_trap(prop, 0.0, 5000.0, TrapState::kEmpty, rng_b,
-                               loose, &stats_loose);
-  EXPECT_NEAR(a.filled_fraction(), b.filled_fraction(), 0.03);
-  EXPECT_GT(stats_loose.candidates, 3 * stats_tight.candidates);
-}
-
 // ----------------------------------------------------- master equation
 
 TEST(MasterEquation, ConstantRatesRelaxExponentially) {
