@@ -65,10 +65,12 @@ Outcome run_scenario(const physics::Technology& tech,
     glitch.append(scenario.glitch_end, scenario.amplitude);
     glitch.append(scenario.glitch_end + 5e-12, 0.0);
     // Current pulled out of Q into BL: opposes the write-1 charging path.
-    circuit.add<spice::CurrentSource>("Iglitch",
-                                      circuit.find_node(handles.q),
-                                      circuit.find_node(handles.bl),
-                                      std::move(glitch));
+    // Its 5 ps edges are landed exactly.
+    circuit
+        .add<spice::CurrentSource>("Iglitch", circuit.find_node(handles.q),
+                                   circuit.find_node(handles.bl),
+                                   std::move(glitch))
+        .set_emit_breakpoints(true);
   }
   spice::TransientOptions options;
   options.t_stop = pattern.t_end;

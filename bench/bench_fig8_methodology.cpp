@@ -87,6 +87,7 @@ int main(int argc, char** argv) {
   config.seed = cli.get_seed("seed", 2024);
   config.rtn_scale = cli.get_double("scale", 30.0);
   const bool plots = !cli.has("no-plots");
+  const auto seeds = static_cast<std::size_t>(cli.get_count("sweep-seeds", 8));
 
   std::printf("=== Paper Fig. 8: full methodology on pattern "
               "[1,1,0,1,0,1,0,0,1] (%s, seed %llu) ===\n\n",
@@ -206,7 +207,6 @@ int main(int argc, char** argv) {
     std::size_t errors = 0, slow = 0;
     double extra_sum = 0.0;
     long long first_bad = -1;
-    const std::size_t seeds = static_cast<std::size_t>(cli.get_int("sweep-seeds", 8));
     for (std::size_t s = 0; s < seeds; ++s) {
       sram::MethodologyConfig sweep_config = config;
       sweep_config.rtn_scale = scale;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   osc::RingConfig config;
   config.tech = physics::technology(cli.get_string("node", "90nm"));
-  config.stages = static_cast<std::size_t>(cli.get_int("stages", 5));
+  config.stages = static_cast<std::size_t>(cli.get_u64("stages", 5));
   const double scale = cli.get_double("scale", 50.0);
   const auto seed = cli.get_seed("seed", 5);
 

@@ -11,7 +11,25 @@ namespace samurai::osc {
 
 namespace {
 
+/// Largest stage count a ring may have. Every stage brings a nodeset
+/// entry, three devices and two RTN requests, all allocated before the
+/// first solve, so a wrapped count such as a CLI's -1 must fail here
+/// rather than allocate until memory runs out.
+constexpr std::size_t kMaxStages = 10001;
+
+/// The transient window holds this many dt_max steps.
+constexpr std::size_t kStepsPerWindow = 4000;
+
 std::string stage_node(std::size_t stage) { return "n" + std::to_string(stage); }
+
+void check_stages(const RingConfig& config) {
+  if (config.stages < 3 || config.stages % 2 == 0 ||
+      config.stages > kMaxStages) {
+    throw std::invalid_argument("ring: stages must be odd, >= 3 and <= " +
+                                std::to_string(kMaxStages) + " (got " +
+                                std::to_string(config.stages) + ")");
+  }
+}
 
 spice::TransientOptions ring_transient_options(const RingConfig& config) {
   spice::TransientOptions options;
@@ -19,7 +37,7 @@ spice::TransientOptions ring_transient_options(const RingConfig& config) {
   options.t_stop = config.t_stop > 0.0
                        ? config.t_stop
                        : 50.0 * static_cast<double>(config.stages) * 2.0e-10;
-  options.dt_max = options.t_stop / 4000.0;
+  options.dt_max = options.t_stop / static_cast<double>(kStepsPerWindow);
   // Kick the ring out of its metastable DC point: alternate the stage
   // nodesets; with an odd stage count one edge is frustrated and the ring
   // starts oscillating.
@@ -32,9 +50,7 @@ spice::TransientOptions ring_transient_options(const RingConfig& config) {
 }  // namespace
 
 RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config) {
-  if (config.stages < 3 || config.stages % 2 == 0) {
-    throw std::invalid_argument("build_ring: stages must be odd and >= 3");
-  }
+  check_stages(config);
   RingBuild build;
   build.vdd_node = "vdd";
   const int vdd = circuit.node(build.vdd_node);
@@ -75,8 +91,10 @@ RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config) {
   kick.append(10e-12, 50e-6);
   kick.append(150e-12, 50e-6);
   kick.append(160e-12, 0.0);
-  circuit.add<spice::CurrentSource>("Ikick", spice::kGround,
-                                    circuit.node(build.stage_nodes[0]), kick);
+  circuit
+      .add<spice::CurrentSource>("Ikick", spice::kGround,
+                                 circuit.node(build.stage_nodes[0]), kick)
+      .set_emit_breakpoints(true);
   return build;
 }
 
@@ -118,6 +136,7 @@ PeriodStats period_statistics(const std::vector<double>& crossings,
 
 RingRtnResult ring_rtn_analysis(const RingConfig& config, std::uint64_t seed,
                                 double rtn_scale) {
+  check_stages(config);
   // Every transistor of every stage, MN0, MP0, MN1, ..., the k-th (from 1)
   // on Rng(seed).split(k·101) for its traps and split(k·977 + 13) for
   // Algorithm 1.
@@ -134,8 +153,11 @@ RingRtnResult ring_rtn_analysis(const RingConfig& config, std::uint64_t seed,
       requests.push_back(std::move(request));
     }
   }
+  // One envelope sample per dt_max step. The injection is grid-sampled, so
+  // this costs no solver steps; a coarser render (256 samples, 47 ps apart
+  // at 12 ns) aliases the ~150 ps period and reads as period jitter.
   spice::RtnPipelineOptions pipeline;
-  pipeline.generator.envelope_samples = 256;
+  pipeline.generator.envelope_samples = kStepsPerWindow + 1;
 
   RingBuild build;  // node names, identical for both factory calls
   const auto run = spice::run_rtn_transient(

@@ -18,7 +18,7 @@ namespace samurai::osc {
 
 struct RingConfig {
   physics::Technology tech;
-  std::size_t stages = 5;     ///< odd
+  std::size_t stages = 5;     ///< odd, 3..10001
   double width_mult_n = 2.0;  ///< NMOS width, × w_min
   double width_mult_p = 4.0;  ///< PMOS width, × w_min
   double t_stop = 0.0;        ///< 0 = auto (enough for ~40 periods)
@@ -30,7 +30,8 @@ struct RingBuild {
   std::string vdd_node;
 };
 
-/// Build the ring into `circuit` (supply source included).
+/// Build the ring into `circuit` (supply source included). A stage count
+/// that is even, below 3 or above 10001 throws std::invalid_argument.
 RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config);
 
 struct PeriodStats {
@@ -58,7 +59,8 @@ struct RingRtnResult {
 
 /// Run the ring twice — without RTN and with SAMURAI traces injected into
 /// every transistor (amplitude-scaled by `rtn_scale`) — and compare
-/// period statistics.
+/// period statistics. The stage count is checked as in build_ring before
+/// anything is allocated.
 RingRtnResult ring_rtn_analysis(const RingConfig& config, std::uint64_t seed,
                                 double rtn_scale);
 

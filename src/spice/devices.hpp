@@ -69,6 +69,13 @@ class VoltageSource final : public Device {
 /// Independent current source; positive current flows from the + node
 /// through the source into the - node (SPICE convention). This is the
 /// device that injects SAMURAI's I_RTN traces (paper Fig. 4 right).
+///
+/// Grid-sampled by default: the solver reads the waveform at whatever
+/// steps the rest of the circuit and the step controller choose, and its
+/// PWL corners are not breakpoints. An injected RTN trace carries hundreds
+/// of envelope samples and trap corners per device; landing on each would
+/// make the injected pass step on a different and much finer grid than the
+/// nominal one (DESIGN.md §15, §19).
 class CurrentSource final : public Device {
  public:
   CurrentSource(std::string name, int node_p, int node_n, core::Pwl waveform);
@@ -76,17 +83,16 @@ class CurrentSource final : public Device {
   bool is_linear() const noexcept override { return true; }
   void collect_breakpoints(std::vector<double>& breakpoints) const override;
   void set_waveform(core::Pwl waveform) { waveform_ = std::move(waveform); }
-  /// An injected RTN stream carries thousands of trap-transition corners;
-  /// registering each as a grid breakpoint would make the step count scale
-  /// with the total transition count instead of the circuit's own timing.
-  /// Turning breakpoints off makes the source grid-sampled: its current is
-  /// evaluated at whatever step placement the rest of the circuit dictates.
+  /// true: every PWL corner becomes a step breakpoint. For stimuli whose
+  /// corners are the point: the netlist `I` card, the ring's start-up kick
+  /// and the Fig. 5 glitch pulse, whose 5-10 ps edges a grid step would
+  /// otherwise straddle.
   void set_emit_breakpoints(bool emit) noexcept { emit_breakpoints_ = emit; }
 
  private:
   int p_, n_;
   core::Pwl waveform_;
-  bool emit_breakpoints_ = true;
+  bool emit_breakpoints_ = false;
 };
 
 /// Current source whose value is an arbitrary function of time, used by

@@ -304,8 +304,11 @@ ParsedNetlist parse_netlist(const std::string& text) {
       }
       case 'i': {
         need(4, "I card: Iname n+ n- spec");
-        circuit.add<CurrentSource>(t[0], node_of(t[1]), node_of(t[2]),
-                                   parse_source_waveform(line, 3));
+        // A deck's PWL corners are landed exactly, as for a V card.
+        circuit
+            .add<CurrentSource>(t[0], node_of(t[1]), node_of(t[2]),
+                                parse_source_waveform(line, 3))
+            .set_emit_breakpoints(true);
         break;
       }
       case 'm': {

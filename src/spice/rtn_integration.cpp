@@ -169,11 +169,11 @@ RtnTransientResult run_rtn_transient(
     const Mosfet* mosfet = rtn_fets[k];
     // Inject opposing the nominal channel current (paper Fig. 4 right):
     // the trace is signed like I_d, so the negated source always bucks it.
+    // The source is grid-sampled, so the injected pass steps like the
+    // nominal one (DESIGN.md §19).
     const auto& trace = result.traces[k];
-    auto& source = rtn_circuit->add<CurrentSource>(
-        "Irtn_" + trace.device, mosfet->drain(), mosfet->source(),
-        trace.i_rtn.scaled(-1.0));
-    source.set_emit_breakpoints(pipeline.emit_breakpoints);
+    rtn_circuit->add<CurrentSource>("Irtn_" + trace.device, mosfet->drain(),
+                                    mosfet->source(), trace.i_rtn.scaled(-1.0));
   }
   result.with_rtn = transient(*rtn_circuit, options, workspace);
   result.injected_seconds = now_seconds() - t0;

@@ -48,9 +48,6 @@ struct RtnPipelineOptions {
   /// amplitude_scale from each request.
   core::RtnGeneratorOptions generator;
   physics::TrapProfileOptions profile;
-  /// false: inject grid-sampled sources whose trap corners are not step
-  /// breakpoints (array-scale runs, DESIGN.md §15).
-  bool emit_breakpoints = true;
   /// Keep each device's extracted V_gs(t)/I_d(t) in its trace.
   bool keep_bias = false;
 };

@@ -326,11 +326,6 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
     requests[flat].scale = rtn_scale;
     requests[flat].seed = seed + 1000 * flat + 5;
   }
-  // Grid-sampled injection: R*C streams of trap corners must not each
-  // become breakpoints, or the step count scales with the array's total
-  // transition count (see the fixed-grid note above).
-  spice::RtnPipelineOptions pipeline;
-  pipeline.emit_breakpoints = false;
 
   Array2dRtnResult result;
   Array2dBuild build;  // node names, identical for both factory calls
@@ -340,7 +335,7 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
         build = build_array2d(*circuit, config);
         return circuit;
       },
-      options, requests, pipeline);
+      options, requests);
   result.nominal_report = check_array2d(result.rtn.nominal, config, build);
   result.rtn_report = check_array2d(result.rtn.with_rtn, config, build);
   return result;

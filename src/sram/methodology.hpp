@@ -45,8 +45,8 @@ struct MethodologyConfig {
   VthShifts vth_shifts;           ///< per-transistor variation (arrays)
   DetectorOptions detector;       ///< v_dd is overwritten from tech
   spice::TransientOptions transient;  ///< t_stop overwritten from pattern
-  /// Algorithm-1 sampler options (rate-bound override, safety factor,
-  /// candidate budget) forwarded to every per-trap simulation.
+  /// Algorithm-1 sampler options (rate-bound override, candidate budget,
+  /// majorant or fixed bound) forwarded to every per-trap simulation.
   core::UniformisationOptions uniformisation;
 };
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -75,6 +76,24 @@ TEST(Parser, RcTransientMatchesAnalytic) {
   const double tau = 1e3 * 1e-12;
   const double expected = 1.0 - std::exp(-(5e-9 - 1.01e-9) / tau);
   EXPECT_NEAR(result.voltage_at("out", 5e-9), expected, 0.02);
+}
+
+TEST(Parser, CurrentSourcePwlCornersAreLandedExactly) {
+  // Injected RTN sources are grid-sampled, but an I card's corners are
+  // breakpoints, as a V card's are: each is a time step, not a value read
+  // between two steps.
+  const auto result = run_netlist(
+      "pwl current\n"
+      "I1 0 a PWL(0 0 1.234n 0 1.254n 1m 3.777n 1m 3.797n 0)\n"
+      "R1 a 0 1k\n"
+      "C1 a 0 1p\n"
+      ".tran 50p 6n\n"
+      ".end\n");
+  const auto& times = result.times();
+  for (const char* corner : {"1.234n", "1.254n", "3.777n", "3.797n"}) {
+    const double t = parse_spice_value(corner);
+    EXPECT_NE(std::find(times.begin(), times.end(), t), times.end()) << corner;
+  }
 }
 
 TEST(Parser, PulseSourceAndCaseInsensitiveNodes) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "spice/devices.hpp"
 
 namespace samurai::osc {
@@ -15,6 +17,21 @@ TEST(Ring, RequiresOddStageCount) {
   EXPECT_THROW(build_ring(circuit, config), std::invalid_argument);
   config.stages = 1;
   EXPECT_THROW(build_ring(circuit, config), std::invalid_argument);
+}
+
+TEST(Ring, RtnAnalysisRejectsAStageCountBeforeAllocating) {
+  // A CLI's -1 cast to size_t is odd, so only the upper limit stops it
+  // before two requests and a nodeset per stage are allocated.
+  RingConfig config;
+  config.tech = physics::technology("90nm");
+  config.stages = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(ring_rtn_analysis(config, 5, 30.0), std::invalid_argument);
+  config.stages = 10003;
+  EXPECT_THROW(ring_rtn_analysis(config, 5, 30.0), std::invalid_argument);
+  spice::Circuit circuit;
+  EXPECT_THROW(build_ring(circuit, config), std::invalid_argument);
+  config.stages = 6;
+  EXPECT_THROW(ring_rtn_analysis(config, 5, 30.0), std::invalid_argument);
 }
 
 TEST(Ring, BuildCreatesStagesAndSupply) {

@@ -7,12 +7,18 @@
 //
 // Fan-out: the per-device step fans out over the pool from a plain thread
 // and runs serially inside a pool job; both must give the same bits.
+//
+// Injection policy: injected sources are grid-sampled, so a trace that
+// carries no current leaves the second pass bit-identical to the nominal
+// one on every caller (DESIGN.md §19).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 #include "core/rtn_generator.hpp"
+#include "osc/ring.hpp"
 #include "physics/srh_model.hpp"
 #include "physics/trap_profile.hpp"
 #include "spice/parser.hpp"
@@ -74,6 +80,28 @@ void expect_same_transient(const spice::TransientResult& a,
         << "node " << node;
   }
   EXPECT_EQ(std::memcmp(&a.stats(), &b.stats(), sizeof(spice::SolverStats)), 0);
+}
+
+/// A second pass that injected nothing, or only zero current, against the
+/// nominal: the same times and node values bit for bit and the same solver
+/// work. Two counters may differ: the second pass reuses the nominal's
+/// workspace (`workspace_allocations`), and `device_loads` also counts each
+/// zero-current source's own loads.
+void expect_nominal_second_pass(const spice::TransientResult& nominal,
+                                const spice::TransientResult& second) {
+  ASSERT_EQ(second.node_names(), nominal.node_names());
+  EXPECT_TRUE(same_bits(second.times(), nominal.times()));
+  for (const auto& node : nominal.node_names()) {
+    EXPECT_TRUE(same_bits(second.voltage_samples(node),
+                          nominal.voltage_samples(node)))
+        << "node " << node;
+  }
+  auto a = nominal.stats();
+  auto b = second.stats();
+  EXPECT_GE(b.device_loads, a.device_loads);
+  a.workspace_allocations = b.workspace_allocations = 0;
+  a.device_loads = b.device_loads = 0;
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(spice::SolverStats)), 0);
 }
 
 /// One device re-composed from the public per-step calls on the given
@@ -254,23 +282,78 @@ TEST(RtnPipeline, UninjectedRequestsLeaveTheCircuitNominal) {
   m2.device = "M2";
   spice::RtnPipelineOptions pipeline;
   pipeline.keep_bias = true;
-  const auto result = run_inverter({m1, m2}, pipeline);
-  ASSERT_EQ(result.traces.size(), 2u);
-  for (const auto& trace : result.traces) {
-    EXPECT_FALSE(trace.traps.empty());
+  const auto uninjected = run_inverter({m1, m2}, pipeline);
+  for (const auto& trace : uninjected.traces) {
     EXPECT_GT(trace.v_gs.size(), 0u);
     EXPECT_GT(trace.i_d.size(), 0u);
   }
-  // Nothing injected: the second pass solves the nominal circuit again.
-  ASSERT_EQ(result.with_rtn.node_names(), result.nominal.node_names());
-  EXPECT_TRUE(same_bits(result.with_rtn.times(), result.nominal.times()));
-  for (const auto& node : result.nominal.node_names()) {
-    EXPECT_TRUE(same_bits(result.with_rtn.voltage_samples(node),
-                          result.nominal.voltage_samples(node)));
+  // The same deck with `.rtn` cards of zero scale: both sources are
+  // injected and carry no current.
+  std::string deck = kInverterDeck;
+  deck.insert(deck.find(".end"),
+              ".rtn M1 scale=0 seed=3\n.rtn M2 scale=0 seed=4\n");
+  const auto zero_scale = spice::run_netlist_rtn(deck);
+
+  for (const auto* result : {&uninjected, &zero_scale}) {
+    SCOPED_TRACE(result == &uninjected ? "uninjected" : "scale=0");
+    ASSERT_EQ(result->traces.size(), 2u);
+    for (const auto& trace : result->traces) EXPECT_FALSE(trace.traps.empty());
+    // Nothing injected: the second pass solves the nominal circuit again.
+    expect_nominal_second_pass(result->nominal, result->with_rtn);
+    EXPECT_GT(result->nominal_seconds, 0.0);
+    EXPECT_GE(result->generation_seconds, 0.0);
+    EXPECT_GT(result->injected_seconds, 0.0);
   }
-  EXPECT_GT(result.nominal_seconds, 0.0);
-  EXPECT_GE(result.generation_seconds, 0.0);
-  EXPECT_GT(result.injected_seconds, 0.0);
+}
+
+// ---------------------------------------------------- zero-amplitude identity
+
+TEST(RtnZeroAmplitude, MethodologySecondPassIsTheNominal) {
+  sram::MethodologyConfig config;
+  config.tech = physics::technology("90nm");
+  config.ops = sram::ops_from_bits({1, 0, 1});
+  config.seed = 5;
+  config.rtn_scale = 0.0;
+  const auto result = sram::run_methodology(config);
+  expect_nominal_second_pass(result.nominal, result.with_rtn);
+  ASSERT_EQ(result.rtn_report.ops.size(), result.nominal_report.ops.size());
+  for (std::size_t k = 0; k < result.nominal_report.ops.size(); ++k) {
+    EXPECT_EQ(result.rtn_report.ops[k].outcome,
+              result.nominal_report.ops[k].outcome);
+    EXPECT_TRUE(same_bits(result.rtn_report.ops[k].q_at_slot_end,
+                          result.nominal_report.ops[k].q_at_slot_end));
+  }
+}
+
+TEST(RtnZeroAmplitude, ColumnSecondPassIsTheNominal) {
+  sram::ColumnConfig config;
+  config.tech = physics::technology("90nm");
+  config.num_cells = 4;
+  config.initial_bits = {0, 1, 1, 0};
+  config.ops = {sram::ColumnOp::write(0, 1), sram::ColumnOp::read(0),
+                sram::ColumnOp::read(2)};
+  const auto result = sram::run_column_rtn(config, 12, 0.0);
+  ASSERT_EQ(result.rtn.traces.size(), 24u);
+  expect_nominal_second_pass(result.rtn.nominal, result.rtn.with_rtn);
+  ASSERT_EQ(result.rtn_report.reads.size(), result.nominal_report.reads.size());
+  for (std::size_t i = 0; i < result.nominal_report.reads.size(); ++i) {
+    EXPECT_TRUE(same_bits(result.rtn_report.reads[i].sense_margin,
+                          result.nominal_report.reads[i].sense_margin));
+  }
+}
+
+TEST(RtnZeroAmplitude, RingPeriodsAreTheNominals) {
+  osc::RingConfig config;
+  config.tech = physics::technology("90nm");
+  config.stages = 3;
+  config.t_stop = 5e-9;
+  const auto result = osc::ring_rtn_analysis(config, 5, 0.0);
+  ASSERT_GT(result.nominal.cycles, 5u);
+  EXPECT_EQ(result.frequency_shift_ppm, 0.0);
+  EXPECT_EQ(result.with_rtn.cycles, result.nominal.cycles);
+  EXPECT_TRUE(same_bits(result.with_rtn.mean, result.nominal.mean));
+  EXPECT_TRUE(same_bits(result.with_rtn.stddev, result.nominal.stddev));
+  EXPECT_TRUE(same_bits(result.with_rtn.periods, result.nominal.periods));
 }
 
 // ----------------------------------------------------------------- fan-out
