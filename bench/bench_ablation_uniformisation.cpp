@@ -51,7 +51,7 @@ double ensemble_error(
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const int runs = static_cast<int>(cli.get_int("runs", 3000));
+  const int runs = static_cast<int>(cli.get_count("runs", 3000));
   util::Rng rng(cli.get_seed("seed", 77));
 
   // A strongly modulated chain: rates swing over a decade within the

@@ -63,9 +63,9 @@ campaign::ShardResult synthetic_shard(std::uint64_t index) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool quick = cli.has("quick");
-  const int lease_cycles = cli.get_int("lease-cycles", quick ? 200 : 2000);
-  const int append_lines = cli.get_int("append-lines", quick ? 200 : 2000);
-  const int workers = cli.get_int("workers", 4);
+  const int lease_cycles = static_cast<int>(cli.get_count("lease-cycles", quick ? 200 : 2000));
+  const int append_lines = static_cast<int>(cli.get_count("append-lines", quick ? 200 : 2000));
+  const int workers = static_cast<int>(cli.get_count("workers", 4));
 
   const std::string root =
       (std::filesystem::temp_directory_path() /

@@ -20,10 +20,10 @@ int main(int argc, char** argv) {
   config.cell.sizing.extra_node_cap = cli.get_double("node-cap", 40e-15);
   config.cell.timing.period = cli.get_double("period", 1e-9);
   config.cell.ops = sram::ops_from_bits({1, 0, 1});
-  config.num_cells = static_cast<std::size_t>(cli.get_int("cells", 24));
+  config.num_cells = static_cast<std::size_t>(cli.get_count("cells", 24));
   config.sigma_vt = cli.get_double("sigma-vt", 0.02);
   config.seed = cli.get_seed("seed", 99);
-  config.threads = static_cast<std::size_t>(cli.get_int("threads", 4));
+  config.threads = static_cast<std::size_t>(cli.get_count("threads", 4));
 
   std::printf("=== Extension 3: array bit-error statistics vs RTN scale ===\n");
   std::printf("%s, %zu cells, sigma_VT = %.0f mV, pattern 101\n\n",

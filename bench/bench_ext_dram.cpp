@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   config.tech = physics::technology(cli.get_string("node", "45nm"));
   config.storage_cap = cli.get_double("cs", 25e-15);
   config.tat_strength = cli.get_double("tat", 1.5);
-  const auto devices = static_cast<std::size_t>(cli.get_int("devices", 20));
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 10));
+  const auto devices = static_cast<std::size_t>(cli.get_count("devices", 20));
+  const auto trials = static_cast<std::size_t>(cli.get_count("trials", 10));
   util::Rng rng(cli.get_seed("seed", 5));
 
   std::printf("=== DRAM Variable Retention Time from trap toggling ===\n");

@@ -136,7 +136,7 @@ void run_node(const std::string& node, double horizon, std::size_t devices,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto devices = static_cast<std::size_t>(cli.get_int("devices", 25));
+  const auto devices = static_cast<std::size_t>(cli.get_count("devices", 25));
   util::Rng rng(cli.get_seed("seed", 33));
   const bool plots = !cli.has("no-plots");
 

@@ -32,6 +32,23 @@ double time_estimate(const sram::ImportanceConfig& config,
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   sram::ImportanceConfig config;
+  std::size_t scaling_samples = 0;
+  std::uint64_t campaign_budget = 0;
+  std::uint64_t campaign_shard = 0;
+  // Counts are read before any simulation, so a bad one fails at once.
+  try {
+    config.samples = static_cast<std::size_t>(cli.get_count("samples", 120));
+    config.threads = static_cast<std::size_t>(cli.get_count("threads", 8));
+    scaling_samples =
+        static_cast<std::size_t>(cli.get_count("scaling-samples", 64));
+    campaign_budget =
+        static_cast<std::uint64_t>(cli.get_count("campaign-budget", 120));
+    campaign_shard =
+        static_cast<std::uint64_t>(cli.get_count("campaign-shard", 12));
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "bench_importance: %s\n", error.what());
+    return 2;
+  }
   config.cell.tech = physics::technology(cli.get_string("node", "90nm"));
   config.cell.tech.v_dd = cli.get_double("vdd", 0.97);
   config.cell.sizing.extra_node_cap = 40e-15;
@@ -39,10 +56,8 @@ int main(int argc, char** argv) {
   config.cell.ops = sram::ops_from_bits({1, 0});
   config.cell.rtn_scale = cli.get_double("scale", 30.0);
   config.sigma_vt = cli.get_double("sigma-vt", 0.03);
-  config.samples = static_cast<std::size_t>(cli.get_int("samples", 120));
   config.seed = cli.get_seed("seed", 31);
   config.with_rtn = !cli.has("nominal-only");
-  config.threads = static_cast<std::size_t>(cli.get_int("threads", 8));
 
   std::printf("=== Rare write-failure estimation: naive MC vs importance "
               "sampling ===\n");
@@ -79,8 +94,7 @@ int main(int argc, char** argv) {
   // the JSON line lets tooling track the serial-vs-parallel throughput.
   {
     sram::ImportanceConfig probe = config;
-    probe.samples = static_cast<std::size_t>(cli.get_int("scaling-samples", 64));
-    if (probe.samples == 0) probe.samples = 1;  // estimator rejects 0
+    probe.samples = scaling_samples;
     sram::ImportanceResult serial, parallel;
     probe.threads = 1;
     const double serial_s = time_estimate(probe, serial);
@@ -124,10 +138,8 @@ int main(int argc, char** argv) {
     manifest.seed = config.seed;
     manifest.with_rtn = config.with_rtn;
     manifest.threads = config.threads;
-    manifest.budget =
-        static_cast<std::uint64_t>(cli.get_int("campaign-budget", 120));
-    manifest.shard_size =
-        static_cast<std::uint64_t>(cli.get_int("campaign-shard", 12));
+    manifest.budget = campaign_budget;
+    manifest.shard_size = campaign_shard;
     manifest.min_samples = manifest.shard_size * 2;
 
     campaign::Manifest full = manifest;  // exhaust the budget

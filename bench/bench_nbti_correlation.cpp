@@ -30,7 +30,7 @@ using namespace samurai;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const auto devices = static_cast<std::size_t>(cli.get_int("devices", 200));
+  const auto devices = static_cast<std::size_t>(cli.get_count("devices", 200));
   const double density_sigma = cli.get_double("density-sigma", 0.5);
   util::Rng rng(cli.get_seed("seed", 21));
 

@@ -22,6 +22,7 @@
 #include "spice/analysis.hpp"
 #include "spice/devices.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace samurai;
 
@@ -229,6 +230,22 @@ void BM_ImportanceEstimateThreads(benchmark::State& state) {
 }
 BENCHMARK(BM_ImportanceEstimateThreads)->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
+
+// Fork-join latency of a trivial 4-participant job on the shared pool:
+// the fixed cost each transient sweep of the partitioned engine pays.
+void BM_PoolForkJoin(benchmark::State& state) {
+  std::vector<double> slots(4, 0.0);
+  const std::function<void(std::size_t)> fn = [&slots](std::size_t i) {
+    slots[i] += 1.0;
+  };
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  for (auto _ : state) {
+    pool.for_indexed(slots.size(), 4, fn);
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_PoolForkJoin)->Unit(benchmark::kMicrosecond);
 
 void BM_DeviceRtnGeneration(benchmark::State& state) {
   const auto tech = physics::technology("90nm");

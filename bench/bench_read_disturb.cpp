@@ -76,7 +76,7 @@ int main(int argc, char** argv) {
   probe.base.ops = {sram::Op::kWrite0, sram::Op::kRead, sram::Op::kRead,
                     sram::Op::kRead};
   probe.base.rtn_scale = cli.get_double("scale", 30.0);
-  probe.seeds = static_cast<std::size_t>(cli.get_int("seeds", 5));
+  probe.seeds = static_cast<std::size_t>(cli.get_count("seeds", 5));
 
   std::printf("=== Read-disturb margin analysis (paper footnote 2) ===\n");
   std::printf("%s, read-prone sizing (PD 1.0 / PG %.1f), W0 + 3 reads, "

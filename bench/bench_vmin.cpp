@@ -63,9 +63,9 @@ std::size_t rtn_failures(const sram::MethodologyConfig& base, double v_dd,
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 120.0);
-  const auto seeds = static_cast<std::size_t>(cli.get_int("rtn-seeds", 16));
+  const auto seeds = static_cast<std::size_t>(cli.get_count("rtn-seeds", 16));
   const double fine_step = cli.get_double("resolution", 0.01);
-  g_threads = static_cast<std::size_t>(cli.get_int("threads", 8));
+  g_threads = static_cast<std::size_t>(cli.get_count("threads", 8));
 
   std::printf("=== V_min characterisation: the RTN V_dd margin (cf. paper "
               "Fig. 2) ===\n");

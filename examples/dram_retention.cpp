@@ -20,8 +20,8 @@ int main(int argc, char** argv) {
   config.tech = physics::technology(cli.get_string("node", "45nm"));
   config.storage_cap = cli.get_double("cs", 25.0) * 1e-15;
   config.tat_strength = cli.get_double("tat", 1.5);
-  const auto devices = static_cast<std::size_t>(cli.get_int("devices", 10));
-  const auto trials = static_cast<std::size_t>(cli.get_int("trials", 12));
+  const auto devices = static_cast<std::size_t>(cli.get_count("devices", 10));
+  const auto trials = static_cast<std::size_t>(cli.get_count("trials", 12));
   util::Rng rng(cli.get_seed("seed", 9));
 
   std::printf("DRAM retention under RTN — %s access device, C_s = %.0f fF\n\n",

@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
   }
 
   // Default: decimated table.
-  const auto points = static_cast<std::size_t>(cli.get_int("points", 25));
+  const auto points = static_cast<std::size_t>(cli.get_count("points", 25));
   std::vector<std::string> headers = {"time (s)"};
   headers.insert(headers.end(), nodes.begin(), nodes.end());
   util::Table table(std::move(headers));

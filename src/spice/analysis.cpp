@@ -9,6 +9,7 @@
 
 #include "spice/newton_driver.hpp"
 #include "util/grid.hpp"
+#include "util/thread_pool.hpp"
 
 namespace samurai::spice {
 
@@ -61,6 +62,47 @@ void solver_stats_accumulate(const SolverStats& stats) {
 }  // namespace detail
 
 // -------------------------------------------------------- NewtonWorkspace
+
+namespace {
+
+// Sweep grain of the partitioned engine: one pool task per this many
+// devices or MNA rows. Results never depend on it (each value has one
+// writer), only the fork-join granularity does.
+constexpr std::size_t kDeviceGrain = 64;
+constexpr std::size_t kRowGrain = 128;
+
+std::size_t sweep_chunks(std::size_t items, std::size_t grain) {
+  return (items + grain - 1) / grain;
+}
+
+/// Run fn(chunk) for every chunk on `threads` participants of the shared
+/// pool (serially inside a pool job). The one-reference capture fits
+/// std::function's local buffer, so a sweep allocates nothing.
+template <typename Fn>
+void sweep(std::size_t chunks, std::size_t threads, const Fn& fn) {
+  util::parallel_for_indexed(
+      chunks, [&fn](std::size_t chunk) { fn(chunk); }, threads);
+}
+
+/// For each target in [0, targets), the program positions p with
+/// target_of[p] == target, in program order (a stable counting sort into
+/// CSR form).
+void build_gather(std::span<const int> target_of, std::size_t targets,
+                  std::vector<int>& begin, std::vector<int>& positions) {
+  begin.assign(targets + 1, 0);
+  for (const int target : target_of) {
+    ++begin[static_cast<std::size_t>(target) + 1];
+  }
+  for (std::size_t t = 0; t < targets; ++t) begin[t + 1] += begin[t];
+  positions.resize(target_of.size());
+  std::vector<int> next(begin.begin(), begin.end() - 1);
+  for (std::size_t p = 0; p < target_of.size(); ++p) {
+    positions[static_cast<std::size_t>(
+        next[static_cast<std::size_t>(target_of[p])]++)] = static_cast<int>(p);
+  }
+}
+
+}  // namespace
 
 void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
                              const ActivityPartition* activity) {
@@ -119,24 +161,42 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   // Record the three stamp programs at x = 0 with values discarded. A
   // device's stamp sequence is fixed per (scope, a0 == 0) — see
   // Device::load — so the linear program is recorded twice (transient
-  // a0 != 0, DC a0 == 0) and the nonlinear one once. base_res_ doubles as
-  // a throwaway residual sink; every solve re-zeroes it anyway.
+  // a0 != 0, DC a0 == 0) and the nonlinear one once. The residual
+  // programs of the transient linear and the nonlinear scope are recorded
+  // alongside, per device, for the partitioned engine's sweeps.
   sp_coords_.clear();
+  res_lin_rows_.clear();
+  res_lin_begin_.clear();
+  res_nl_rows_.clear();
+  res_nl_begin_.clear();
   LoadContext record_ctx;
   record_ctx.x = zero_x_;
-  record_ctx.residual = &base_res_;
+  ResidualSink res_recorder;
+  record_ctx.residual = &res_recorder;
   StampSink recorder;
   recorder.bind_record(&sp_coords_);
   record_ctx.jacobian = &recorder;
   record_ctx.a0 = 1.0;
   record_ctx.scope = LoadScope::kLinear;
-  for (Device* device : devices_) device->load(record_ctx);
+  res_recorder.bind_record(&res_lin_rows_);
+  ap_lin_prog_begin_.clear();
+  for (Device* device : devices_) {
+    ap_lin_prog_begin_.push_back(sp_coords_.size());
+    res_lin_begin_.push_back(res_lin_rows_.size());
+    device->load(record_ctx);
+  }
+  ap_lin_prog_begin_.push_back(sp_coords_.size());
+  res_lin_begin_.push_back(res_lin_rows_.size());
   sp_lin_tr_count_ = sp_coords_.size();
+  // DC solves rebuild their residual offset on the direct path, so the
+  // a0 == 0 residual program is recorded and dropped.
   record_ctx.a0 = 0.0;
   for (Device* device : devices_) device->load(record_ctx);
+  res_lin_rows_.resize(res_lin_begin_.back());
   sp_lin_dc_count_ = sp_coords_.size() - sp_lin_tr_count_;
   record_ctx.a0 = 1.0;
   record_ctx.scope = LoadScope::kNonlinear;
+  res_recorder.bind_record(&res_nl_rows_);
   const std::size_t nl_base = sp_coords_.size();
   ap_prog_begin_.clear();
   ap_prog_end_.clear();
@@ -144,9 +204,11 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   ap_prog_end_.reserve(nonlinear_devices_.size());
   for (Device* device : nonlinear_devices_) {
     ap_prog_begin_.push_back(sp_coords_.size() - nl_base);
+    res_nl_begin_.push_back(res_nl_rows_.size());
     device->load(record_ctx);
     ap_prog_end_.push_back(sp_coords_.size() - nl_base);
   }
+  res_nl_begin_.push_back(res_nl_rows_.size());
   sp_nl_count_ = sp_coords_.size() - sp_lin_tr_count_ - sp_lin_dc_count_;
 
   // Pattern = union of all programs + full diagonal, shared by the base
@@ -187,12 +249,11 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
     sp_diag_slots_.push_back(sp_base_.slot(static_cast<int>(i),
                                            static_cast<int>(i)));
   }
-  std::fill(base_res_.begin(), base_res_.end(), 0.0);
-
   // Activity-partition caches: resolve the quiescent-device names against
-  // this circuit's nonlinear devices and size the elision state. In kSchur
-  // mode the ordering groups go to the sparse LU (set_ordering_groups is a
-  // no-op when unchanged, so Monte-Carlo re-attaches keep the analysis).
+  // this circuit's nonlinear devices, size the capture slices and build
+  // the row gathers. In kSchur mode the ordering groups go to the sparse
+  // LU (set_ordering_groups is a no-op when unchanged, so Monte-Carlo
+  // re-attaches keep the analysis).
   if (ap_mode_ != ActivityMode::kOff) {
     std::unordered_set<std::string_view> quiescent;
     quiescent.reserve(activity->quiescent_devices.size());
@@ -217,10 +278,30 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
       ap_input_begin_[i + 1] = ap_input_nodes_.size();
     }
     ap_key_.assign(ap_input_nodes_.size(), 0.0);
-    ap_res_cache_.assign(ap_input_nodes_.size(), 0.0);
-    ap_jac_cache_.assign(sp_nl_count_, 0.0);
     ap_valid_.assign(count, 0);
-    ap_scratch_res_.assign(n, 0.0);
+    ap_jac_vals_.assign(sp_nl_count_, 0.0);
+    ap_res_vals_.assign(res_nl_rows_.size(), 0.0);
+    ap_lin_vals_.assign(res_lin_rows_.size(), 0.0);
+    ap_lin_jac_vals_.assign(sp_lin_tr_count_, 0.0);
+    ap_lin_pending_ = false;
+    ap_base_pending_ = false;
+    auto entries_of = [](const std::vector<double*>& slots,
+                         const SparseMatrix& matrix) {
+      std::vector<int> entries(slots.size());
+      for (std::size_t k = 0; k < slots.size(); ++k) {
+        entries[k] = static_cast<int>(slots[k] - matrix.values().data());
+      }
+      return entries;
+    };
+    build_gather(entries_of(sp_nl_slots_, sp_jac_), sp_jac_.nnz(),
+                 ap_jac_gather_begin_, ap_jac_gather_);
+    build_gather(entries_of(sp_lin_tr_slots_, sp_base_), sp_base_.nnz(),
+                 ap_base_gather_begin_, ap_base_gather_);
+    build_gather(res_nl_rows_, n, ap_res_gather_begin_, ap_res_gather_);
+    build_gather(res_lin_rows_, n, ap_lin_gather_begin_, ap_lin_gather_);
+    ap_partials_.resize(std::max(sweep_chunks(count, kDeviceGrain),
+                                 sweep_chunks(n, kRowGrain)));
+    ap_threads_ = util::fan_out_threads();
     if (ap_mode_ == ActivityMode::kSchur) {
       sp_lu_.set_ordering_groups(activity->groups);
       stats_.ap_folded_cells += activity->groups.size();
@@ -253,15 +334,38 @@ void NewtonDriver::prepare_base(NewtonWorkspace& ws, double time, double a0,
                           ws.base_a0_ == a0 && ws.base_ci_ == ci &&
                           ws.base_gmin_ == gmin && !ws.base_had_pins_ &&
                           pins.empty();
+  // The partitioned engine loads a transient solve's linear part in its
+  // first device sweep and gathers it in the row sweep: the residual
+  // offset always, the base Jacobian when it is stale. DC and pinned
+  // solves take the direct path below.
+  ws.ap_lin_pending_ =
+      ws.ap_mode_ != ActivityMode::kOff && a0 != 0.0 && pins.empty();
+  ws.ap_base_pending_ = ws.ap_lin_pending_ && !jac_cached;
+  if (ws.ap_lin_pending_) {
+    st.device_loads += ws.devices_.size();
+    if (jac_cached) {
+      ++st.linear_cache_hits;
+    } else {
+      ws.base_valid_ = true;
+      ws.base_a0_ = a0;
+      ws.base_ci_ = ci;
+      ws.base_gmin_ = gmin;
+      ws.base_had_pins_ = false;
+      ws.ap_dirty_min_ = 0;
+    }
+    return;
+  }
   std::fill(ws.base_res_.begin(), ws.base_res_.end(), 0.0);
   const std::size_t lin_count =
       a0 == 0.0 ? ws.sp_lin_dc_count_ : ws.sp_lin_tr_count_;
+  ResidualSink base_res;
+  base_res.bind_vector(&ws.base_res_);
   LoadContext base_ctx;
   base_ctx.time = time;
   base_ctx.a0 = a0;
   base_ctx.ci = ci;
   base_ctx.x = ws.zero_x_;
-  base_ctx.residual = &ws.base_res_;
+  base_ctx.residual = &base_res;
   base_ctx.scope = LoadScope::kLinear;
   base_ctx.jacobian = &ws.sp_sink_;
   if (jac_cached) {
@@ -366,94 +470,219 @@ LoadContext NewtonDriver::nonlinear_context(NewtonWorkspace& ws,
   ctx.a0 = a0;
   ctx.ci = ci;
   ctx.jacobian = &ws.sp_sink_;
-  ctx.residual = &ws.residual_;
+  ws.res_sink_.bind_vector(&ws.residual_);
+  ctx.residual = &ws.res_sink_;
   ctx.x = x;
   ctx.scope = LoadScope::kNonlinear;
   return ctx;
 }
 
-void NewtonDriver::stamp_nonlinear_partitioned(NewtonWorkspace& ws,
-                                               std::span<const double> x,
-                                               LoadContext& ctx) {
-  SolverStats& st = ws.stats_;
-  std::size_t loads = 0;
-  bool static_dirty = false;
+void NewtonDriver::sweep_devices(NewtonWorkspace& ws,
+                                 std::span<const double> x, double time,
+                                 double a0, double ci) {
   const std::size_t count = ws.nonlinear_devices_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    Device* device = ws.nonlinear_devices_[i];
-    const std::size_t pb = ws.ap_prog_begin_[i];
-    const std::size_t pe = ws.ap_prog_end_[i];
-    if (ws.ap_elidable_[i]) {
-      const std::size_t ib = ws.ap_input_begin_[i];
-      const std::size_t ie = ws.ap_input_begin_[i + 1];
-      // Replay only if every input voltage is within tolerance of the
-      // cached evaluation point. tolerance == 0 demands bitwise-equal
-      // inputs (the !(diff <= 0) form also rejects NaN), which is what
-      // makes the elided solve bit-identical to the unpartitioned one.
-      bool replay = ws.ap_valid_[i] != 0;
-      for (std::size_t k = ib; replay && k < ie; ++k) {
-        const double v = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
-        if (!(std::abs(v - ws.ap_key_[k]) <= ws.ap_tol_)) replay = false;
+  const std::size_t nl_chunks = sweep_chunks(count, kDeviceGrain);
+  const std::size_t lin_chunks =
+      ws.ap_lin_pending_ ? sweep_chunks(ws.devices_.size(), kDeviceGrain) : 0;
+  sweep(nl_chunks + lin_chunks, ws.ap_threads_, [&](std::size_t chunk) {
+    StampSink jac;
+    ResidualSink res;
+    LoadContext ctx;
+    ctx.time = time;
+    ctx.a0 = a0;
+    ctx.ci = ci;
+    ctx.jacobian = &jac;
+    ctx.residual = &res;
+    if (chunk >= nl_chunks) {
+      // The linear part at x = 0: each device's residual offset f_lin(0)
+      // into its slice of the linear residual program, and its stamps
+      // into its slice of the linear stamp program if the base is stale.
+      ctx.x = ws.zero_x_;
+      ctx.scope = LoadScope::kLinear;
+      const bool stamps = ws.ap_base_pending_;
+      if (!stamps) jac.bind_discard();
+      const std::size_t first = (chunk - nl_chunks) * kDeviceGrain;
+      const std::size_t last =
+          std::min(ws.devices_.size(), first + kDeviceGrain);
+      for (std::size_t d = first; d < last; ++d) {
+        const std::size_t rb = ws.res_lin_begin_[d];
+        const std::size_t re = ws.res_lin_begin_[d + 1];
+        const std::size_t pb = ws.ap_lin_prog_begin_[d];
+        const std::size_t pe = ws.ap_lin_prog_begin_[d + 1];
+        res.bind_capture(ws.ap_lin_vals_.data() + rb, re - rb);
+        if (stamps) jac.bind_capture(ws.ap_lin_jac_vals_.data() + pb, pe - pb);
+        ws.devices_[d]->load(ctx);
+        if (res.cursor() != re - rb || (stamps && jac.cursor() != pe - pb)) {
+          throw std::logic_error("sparse solve: linear stamp program desync");
+        }
       }
-      if (replay) {
-        ++st.ap_elided_loads;
-        for (std::size_t k = pb; k < pe; ++k) {
-          *ws.sp_nl_slots_[k] += ws.ap_jac_cache_[k];
+      return;
+    }
+    ctx.x = x;
+    ctx.scope = LoadScope::kNonlinear;
+    NewtonWorkspace::SweepPartial part;
+    part.floor = ws.n_;
+    const std::size_t first = chunk * kDeviceGrain;
+    const std::size_t last = std::min(count, first + kDeviceGrain);
+    for (std::size_t i = first; i < last; ++i) {
+      if (ws.ap_elidable_[i]) {
+        const std::size_t ib = ws.ap_input_begin_[i];
+        const std::size_t ie = ws.ap_input_begin_[i + 1];
+        // Keep the captured slices only if every input voltage is within
+        // tolerance of the cached evaluation point. tolerance == 0
+        // demands bitwise-equal inputs (the !(diff <= 0) form also
+        // rejects NaN), which is what makes the elided solve
+        // bit-identical to the unpartitioned one.
+        bool replay = ws.ap_valid_[i] != 0;
+        for (std::size_t k = ib; replay && k < ie; ++k) {
+          const double v = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
+          if (!(std::abs(v - ws.ap_key_[k]) <= ws.ap_tol_)) replay = false;
+        }
+        if (replay) {
+          ++part.elided;
+          continue;
         }
         for (std::size_t k = ib; k < ie; ++k) {
-          ws.residual_[static_cast<std::size_t>(ws.ap_input_nodes_[k])] +=
-              ws.ap_res_cache_[k];
+          ws.ap_key_[k] = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
         }
-        continue;
       }
-      // Real evaluation with capture: Jacobian adds are mirrored into
-      // ap_jac_cache_ by the sink; the residual adds land in the zeroed
-      // scratch vector (one add per input node by the nonlinear_inputs
-      // contract), are recorded, then applied to the true residual with
-      // the same `+=` the direct path would have executed.
-      for (std::size_t k = ib; k < ie; ++k) {
-        ws.ap_key_[k] = x[static_cast<std::size_t>(ws.ap_input_nodes_[k])];
-      }
-      ws.sp_sink_.bind_slots_capture(ws.sp_nl_slots_.data() + pb, pe - pb,
-                                     ws.ap_jac_cache_.data() + pb);
-      ctx.residual = &ws.ap_scratch_res_;
-      device->load(ctx);
-      if (ws.sp_sink_.cursor() != pe - pb) {
+      const std::size_t pb = ws.ap_prog_begin_[i];
+      const std::size_t pe = ws.ap_prog_end_[i];
+      const std::size_t rb = ws.res_nl_begin_[i];
+      const std::size_t re = ws.res_nl_begin_[i + 1];
+      jac.bind_capture(ws.ap_jac_vals_.data() + pb, pe - pb);
+      res.bind_capture(ws.ap_res_vals_.data() + rb, re - rb);
+      ws.nonlinear_devices_[i]->load(ctx);
+      if (jac.cursor() != pe - pb || res.cursor() != re - rb) {
         throw std::logic_error(
             "sparse solve: partitioned nonlinear stamp program desync");
       }
-      for (std::size_t k = ib; k < ie; ++k) {
-        const auto node = static_cast<std::size_t>(ws.ap_input_nodes_[k]);
-        const double v = ws.ap_scratch_res_[node];
-        ws.ap_res_cache_[k] = v;
-        ws.residual_[node] += v;
-        ws.ap_scratch_res_[node] = 0.0;
-      }
-      ctx.residual = &ws.residual_;
       ws.ap_valid_[i] = 1;
-      ++loads;
-      if (ws.ap_floors_valid_) {
-        ws.ap_dirty_min_ = std::min(ws.ap_dirty_min_, ws.ap_row_floor_[i]);
-      } else {
-        ws.ap_dirty_min_ = 0;
-      }
-    } else {
-      ws.sp_sink_.bind_slots(ws.sp_nl_slots_.data() + pb, pe - pb);
-      device->load(ctx);
-      if (ws.sp_sink_.cursor() != pe - pb) {
-        throw std::logic_error(
-            "sparse solve: partitioned nonlinear stamp program desync");
-      }
-      ++loads;
-      static_dirty = true;
+      ++part.loads;
+      part.floor = std::min(part.floor,
+                            ws.ap_floors_valid_ ? ws.ap_row_floor_[i] : 0);
     }
+    ws.ap_partials_[chunk] = part;
+  });
+  SolverStats& st = ws.stats_;
+  for (std::size_t chunk = 0; chunk < nl_chunks; ++chunk) {
+    const auto& part = ws.ap_partials_[chunk];
+    st.device_loads += part.loads;
+    st.ap_elided_loads += part.elided;
+    ws.ap_dirty_min_ = std::min(ws.ap_dirty_min_, part.floor);
   }
-  st.device_loads += loads;
-  if (static_dirty) {
-    ws.ap_dirty_min_ = ws.ap_floors_valid_
-                           ? std::min(ws.ap_dirty_min_, ws.ap_static_floor_)
-                           : 0;
+}
+
+RowNorms NewtonDriver::sweep_rows(NewtonWorkspace& ws,
+                                  std::span<const double> x) {
+  const std::size_t n = ws.n_;
+  const std::size_t nodes = ws.circuit_->num_nodes();
+  const std::size_t chunks = sweep_chunks(n, kRowGrain);
+  const bool linear = ws.ap_lin_pending_;
+  const bool rebuild = ws.ap_base_pending_;
+  // `start` plus target t's captured values, added in program order.
+  auto gather = [](double start, const std::vector<int>& begin,
+                   const std::vector<int>& positions,
+                   const std::vector<double>& values, std::size_t t) {
+    for (auto g = static_cast<std::size_t>(begin[t]);
+         g < static_cast<std::size_t>(begin[t + 1]); ++g) {
+      start += values[static_cast<std::size_t>(positions[g])];
+    }
+    return start;
+  };
+  sweep(chunks, ws.ap_threads_, [&](std::size_t chunk) {
+    const std::vector<int>& row_ptr = ws.sp_jac_.row_ptr();
+    const std::vector<int>& cols = ws.sp_jac_.cols();
+    std::vector<double>& base = ws.sp_base_.values();
+    std::vector<double>& jac = ws.sp_jac_.values();
+    NewtonWorkspace::SweepPartial part;
+    const std::size_t first = chunk * kRowGrain;
+    const std::size_t last = std::min(n, first + kRowGrain);
+    for (std::size_t i = first; i < last; ++i) {
+      const auto row_begin = static_cast<std::size_t>(row_ptr[i]);
+      const auto row_end = static_cast<std::size_t>(row_ptr[i + 1]);
+      if (rebuild) {
+        // Base row: zero, the linear stamps, then gmin on a node's
+        // diagonal — prepare_base's direct sequence.
+        for (std::size_t k = row_begin; k < row_end; ++k) {
+          double v = gather(0.0, ws.ap_base_gather_begin_, ws.ap_base_gather_,
+                            ws.ap_lin_jac_vals_, k);
+          if (i < nodes && static_cast<std::size_t>(cols[k]) == i) {
+            v += ws.base_gmin_;
+          }
+          base[k] = v;
+        }
+      }
+      // Jacobian row: the linear base plus this row's nonlinear stamps.
+      for (std::size_t k = row_begin; k < row_end; ++k) {
+        jac[k] = gather(base[k], ws.ap_jac_gather_begin_, ws.ap_jac_gather_,
+                        ws.ap_jac_vals_, k);
+        part.jac_max_abs = std::max(part.jac_max_abs, std::abs(jac[k]));
+      }
+      // Residual: f_lin(0) + A_lin·x + this row's nonlinear adds.
+      if (linear) {
+        ws.base_res_[i] = gather(0.0, ws.ap_lin_gather_begin_,
+                                 ws.ap_lin_gather_, ws.ap_lin_vals_, i);
+      }
+      double acc = ws.base_res_[i];
+      for (std::size_t k = row_begin; k < row_end; ++k) {
+        acc += base[k] * x[static_cast<std::size_t>(cols[k])];
+      }
+      acc = gather(acc, ws.ap_res_gather_begin_, ws.ap_res_gather_,
+                   ws.ap_res_vals_, i);
+      ws.residual_[i] = acc;
+      if (i < nodes) {
+        part.max_residual = std::max(part.max_residual, std::abs(acc));
+      } else {
+        part.max_branch_residual =
+            std::max(part.max_branch_residual, std::abs(acc));
+      }
+    }
+    ws.ap_partials_[chunk] = part;
+  });
+  ws.ap_lin_pending_ = false;
+  ws.ap_base_pending_ = false;
+  RowNorms norms;
+  for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
+    const auto& part = ws.ap_partials_[chunk];
+    norms.max_residual = std::max(norms.max_residual, part.max_residual);
+    norms.max_branch_residual =
+        std::max(norms.max_branch_residual, part.max_branch_residual);
+    norms.jac_max_abs = std::max(norms.jac_max_abs, part.jac_max_abs);
   }
+  return norms;
+}
+
+void NewtonDriver::commit_step(NewtonWorkspace& ws, TransientResult& result,
+                               double t, std::span<const double> x, double a0,
+                               double ci) {
+  const std::size_t nodes =
+      std::min(ws.circuit_->num_nodes(), result.samples_.size());
+  if (ws.ap_mode_ == ActivityMode::kOff) {
+    for (Device* device : ws.devices_) device->commit(x, a0, ci);
+    result.record(t, x, nodes);
+    return;
+  }
+  result.open_record(t);
+  const std::size_t device_chunks =
+      sweep_chunks(ws.devices_.size(), kDeviceGrain);
+  sweep(device_chunks + sweep_chunks(nodes, kRowGrain), ws.ap_threads_,
+        [&](std::size_t chunk) {
+          if (chunk < device_chunks) {
+            const std::size_t first = chunk * kDeviceGrain;
+            const std::size_t last =
+                std::min(ws.devices_.size(), first + kDeviceGrain);
+            for (std::size_t d = first; d < last; ++d) {
+              ws.devices_[d]->commit(x, a0, ci);
+            }
+            return;
+          }
+          const std::size_t first = (chunk - device_chunks) * kRowGrain;
+          const std::size_t last = std::min(nodes, first + kRowGrain);
+          for (std::size_t i = first; i < last; ++i) {
+            result.record_node(i, x[i]);
+          }
+        });
 }
 
 void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
@@ -461,7 +690,6 @@ void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
   const std::size_t n = ws.n_;
   const std::size_t count = ws.nonlinear_devices_.size();
   ws.ap_row_floor_.assign(count, n);
-  ws.ap_static_floor_ = n;
   // Nonlinear stamp coordinates sit after the two linear programs in
   // sp_coords_; translate each device's stamped rows through the fresh
   // row permutation and keep the minimum.
@@ -474,9 +702,6 @@ void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
       floor = std::min(floor, ws.sp_lu_.permuted_row(row));
     }
     ws.ap_row_floor_[i] = floor;
-    if (!ws.ap_elidable_[i]) {
-      ws.ap_static_floor_ = std::min(ws.ap_static_floor_, floor);
-    }
   }
   ws.ap_floors_valid_ = true;
 }
@@ -494,7 +719,8 @@ constexpr double kBypassContraction = 0.5;
 IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
                                                std::vector<double>& x,
                                                const NewtonOptions& options,
-                                               int iter, double& prev_scaled) {
+                                               int iter, double& prev_scaled,
+                                               const RowNorms* swept) {
   const std::size_t n = ws.n_;
   const std::size_t nodes = ws.circuit_->num_nodes();
   SolverStats& st = ws.stats_;
@@ -506,13 +732,18 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   // against its own tolerance (a branch current can be arbitrarily
   // wrong while every node row looks converged).
   double max_residual = 0.0;
-  for (std::size_t i = 0; i < nodes; ++i) {
-    max_residual = std::max(max_residual, std::abs(ws.residual_[i]));
-  }
   double max_branch_residual = 0.0;
-  for (std::size_t i = nodes; i < n; ++i) {
-    max_branch_residual =
-        std::max(max_branch_residual, std::abs(ws.residual_[i]));
+  if (swept != nullptr) {
+    max_residual = swept->max_residual;
+    max_branch_residual = swept->max_branch_residual;
+  } else {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      max_residual = std::max(max_residual, std::abs(ws.residual_[i]));
+    }
+    for (std::size_t i = nodes; i < n; ++i) {
+      max_branch_residual =
+          std::max(max_branch_residual, std::abs(ws.residual_[i]));
+    }
   }
   const double scaled = std::max(max_residual / kAbsTol,
                                  max_branch_residual / kVnTol);
@@ -556,8 +787,9 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
       const bool partitioned = ws.ap_mode_ != ActivityMode::kOff;
       const std::size_t floor = partitioned ? ws.ap_dirty_min_ : 0;
       bool was_analysis = false;
-      if (!ws.sp_lu_.factor(ws.sp_jac_, ws.sp_jac_.value_max_abs(),
-                            &was_analysis, floor)) {
+      const double scale = swept != nullptr ? swept->jac_max_abs
+                                            : ws.sp_jac_.value_max_abs();
+      if (!ws.sp_lu_.factor(ws.sp_jac_, scale, &was_analysis, floor)) {
         ws.lu_valid_ = false;
         result.singular = true;
         return result;
@@ -639,20 +871,21 @@ NewtonOutcome NewtonDriver::solve(NewtonWorkspace& ws, std::vector<double>& x,
     outcome.iterations = iter + 1;
     ++st.newton_iterations;
 
-    assemble_linear(ws, x);
-    LoadContext ctx = nonlinear_context(ws, x, time, a0, ci);
-    if (ws.use_sparse_ && ws.ap_mode_ != ActivityMode::kOff) {
-      stamp_nonlinear_partitioned(ws, x, ctx);
+    IterationResult r;
+    if (ws.ap_mode_ != ActivityMode::kOff) {
+      sweep_devices(ws, x, time, a0, ci);
+      const RowNorms norms = sweep_rows(ws, x);
+      r = finish_iteration(ws, x, options, iter, prev_scaled, &norms);
     } else {
+      assemble_linear(ws, x);
+      const LoadContext ctx = nonlinear_context(ws, x, time, a0, ci);
       for (Device* device : ws.nonlinear_devices_) device->load(ctx);
       st.device_loads += ws.nonlinear_devices_.size();
       if (ws.use_sparse_ && ws.sp_sink_.cursor() != ws.sp_nl_count_) {
         throw std::logic_error("sparse solve: nonlinear stamp program desync");
       }
+      r = finish_iteration(ws, x, options, iter, prev_scaled);
     }
-
-    const IterationResult r = finish_iteration(ws, x, options, iter,
-                                               prev_scaled);
     if (r.singular) return outcome;
     if (r.converged) {
       outcome.converged = true;
@@ -732,6 +965,18 @@ void TransientResult::record(double t, std::span<const double> x,
   times_.push_back(t);
   for (std::size_t i = 0; i < num_nodes && i < samples_.size(); ++i) {
     samples_[i].push_back(x[i]);
+  }
+}
+
+void TransientResult::open_record(double t) {
+  times_.push_back(t);
+  // Every node's series grows with times_ (same length, same capacity),
+  // so the first one tells when all of them need room.
+  if (!samples_.empty() &&
+      samples_.front().size() == samples_.front().capacity()) {
+    const std::size_t capacity =
+        std::max<std::size_t>(1, 2 * samples_.front().size());
+    for (auto& samples : samples_) samples.reserve(capacity);
   }
 }
 
@@ -896,11 +1141,10 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
             std::to_string(gs.t_next));
       }
       ++st.steps_accepted;
-      for (auto& device : circuit.devices()) device->commit(x_new, a0, ci);
+      commit_step(ws, result, gs.t_next, x_new, a0, ci);
       x_prev = x;
       x.swap(x_new);
       dt_prev = gs.step;
-      result.record(gs.t_next, x, nodes);
       if (options.on_step) options.on_step(gs.t_next, x);
       after_discontinuity = gs.hit_breakpoint;
     }
@@ -988,12 +1232,11 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
     rejects = 0;
     ++st.steps_accepted;
 
-    for (auto& device : circuit.devices()) device->commit(x_new, a0, ci);
+    commit_step(ws, result, t + step, x_new, a0, ci);
     x_prev = x;
     x.swap(x_new);
     dt_prev = step;
     t += step;
-    result.record(t, x, nodes);
     if (options.on_step) options.on_step(t, x);
 
     after_discontinuity = hit_breakpoint;

@@ -8,6 +8,20 @@
 // under the MOSFET re-stamps each iteration, and LU factors are reused
 // across iterations/steps while the residual contracts (modified-Newton
 // bypass). See DESIGN.md "The transient fast path".
+//
+// The activity-partitioned engine (ActivityMode != kOff: array and column
+// runs) runs its per-device and per-row loops as sweeps on the shared
+// pool, min(pool workers + 1, available CPUs) participants, serially
+// inside a pool job. Per Newton iteration, a device sweep: each device
+// evaluates (or, quiescent, keeps) its Jacobian stamps and residual adds
+// in its own slices of program-aligned capture arrays, with its linear
+// part on a solve's first iteration; then a row sweep: each MNA row copies
+// its base Jacobian row, does its linear matvec, adds its captured values
+// in program order, and reduces its share of the residual norms and
+// max|J|. Per accepted step, one sweep commits every device's history and
+// records every node's sample. Each value has one writer and the serial
+// floating-point sequence, so results are bit-identical at any
+// participant count (DESIGN.md §15). The sparse LU stays serial.
 #pragma once
 
 #include <array>
@@ -235,16 +249,34 @@ class NewtonWorkspace {
   std::vector<double*> sp_nl_slots_;      ///< into sp_jac_
   std::vector<double*> sp_diag_slots_;    ///< sp_base_ diagonal (gmin/pins)
   StampSink sp_sink_;
+  ResidualSink res_sink_;  ///< bound to residual_ for direct nl loads
+  // Residual programs, recorded with the stamp programs: the row of each
+  // residual add, per scope. [res_nl_begin_[i], res_nl_begin_[i+1]) is
+  // nonlinear device i's slice, [res_lin_begin_[d], res_lin_begin_[d+1])
+  // device d's slice of the transient (a0 != 0) linear program.
+  std::vector<int> res_nl_rows_;
+  std::vector<std::size_t> res_nl_begin_;
+  std::vector<int> res_lin_rows_;
+  std::vector<std::size_t> res_lin_begin_;
   // Activity-partitioned engine state (engaged when ap_mode_ != kOff;
-  // always rides the sparse path). Per nonlinear device i:
-  // [ap_prog_begin_[i], ap_prog_end_[i]) is its slice of the nonlinear
-  // stamp program, [ap_input_begin_[i], ap_input_begin_[i+1]) its slice
-  // of ap_input_nodes_/ap_key_/ap_res_cache_. A device replays its cached
-  // Jacobian values (ap_jac_cache_, program-aligned) and residual
-  // contributions whenever x at its input nodes is within ap_tol_ of the
-  // values cached at its last real evaluation (ap_key_).
+  // always rides the sparse path). It runs as sweeps on the shared pool
+  // (DESIGN.md §15): a device sweep in which every nonlinear device
+  // evaluates (or replays) into its own slices of ap_jac_vals_ and
+  // ap_res_vals_ — plus, on a solve's first iteration, every device's
+  // linear residual offset into ap_lin_vals_ — then a row sweep in which
+  // every MNA row gathers its values in program order. Each value has
+  // one writer and the serial floating-point sequence, so every output is
+  // bit-identical at any participant count.
+  //
+  // Per nonlinear device i: [ap_prog_begin_[i], ap_prog_end_[i]) is its
+  // slice of the nonlinear stamp program, [ap_input_begin_[i],
+  // ap_input_begin_[i+1]) its slice of ap_input_nodes_/ap_key_. A
+  // quiescent device keeps its captured slices (skips the evaluation)
+  // whenever x at its input nodes is within ap_tol_ of the values cached
+  // at its last real evaluation (ap_key_).
   ActivityMode ap_mode_ = ActivityMode::kOff;
   double ap_tol_ = 0.0;
+  std::size_t ap_threads_ = 1;                ///< sweep participants
   std::vector<std::size_t> ap_prog_begin_;    ///< per nl device, nl-program-relative
   std::vector<std::size_t> ap_prog_end_;
   std::vector<unsigned char> ap_elidable_;    ///< per nl device
@@ -252,17 +284,46 @@ class NewtonWorkspace {
   std::vector<int> ap_input_nodes_;           ///< flattened, ground dropped
   std::vector<double> ap_key_;                ///< x at inputs, last evaluation
   std::vector<unsigned char> ap_valid_;       ///< per nl device: cache live
-  std::vector<double> ap_jac_cache_;          ///< captured nl stamp values
-  std::vector<double> ap_res_cache_;          ///< captured residual adds
-  std::vector<double> ap_scratch_res_;        ///< zero except mid-capture
+  std::vector<double> ap_jac_vals_;           ///< nl stamp program values
+  std::vector<double> ap_res_vals_;           ///< nl residual program values
+  std::vector<double> ap_lin_vals_;           ///< linear residual program values
+  std::vector<std::size_t> ap_lin_prog_begin_;  ///< per device + 1, into the
+                                                ///< transient linear stamp program
+  std::vector<double> ap_lin_jac_vals_;       ///< its values
+  /// Set by prepare_base on a transient solve: the next device sweep also
+  /// loads every device's linear part, and the row sweep gathers base_res_
+  /// from it — and, when the cached base is stale (ap_base_pending_),
+  /// rebuilds sp_base_ from the captured linear stamps.
+  bool ap_lin_pending_ = false;
+  bool ap_base_pending_ = false;
+  // Row gathers: for each sp_jac_ entry (row), the positions in the
+  // nonlinear stamp (linear stamp, residual, linear residual) program
+  // that add into it, in program order.
+  std::vector<int> ap_jac_gather_begin_;
+  std::vector<int> ap_jac_gather_;
+  std::vector<int> ap_base_gather_begin_;
+  std::vector<int> ap_base_gather_;
+  std::vector<int> ap_res_gather_begin_;
+  std::vector<int> ap_res_gather_;
+  std::vector<int> ap_lin_gather_begin_;
+  std::vector<int> ap_lin_gather_;
+  /// One reduction slot per sweep chunk, written by that chunk's task.
+  struct alignas(64) SweepPartial {
+    std::uint64_t loads = 0;
+    std::uint64_t elided = 0;
+    std::size_t floor = 0;
+    double max_residual = 0.0;
+    double max_branch_residual = 0.0;
+    double jac_max_abs = 0.0;
+  };
+  std::vector<SweepPartial> ap_partials_;
   // Partial-refactor bookkeeping: min permuted factor row whose A values
   // may differ from the last successful factorization. Lowered by device
-  // re-evaluations (per-device floors over their stamp rows) and base
+  // evaluations (per-device floors over their stamp rows) and base
   // rebuilds; reset to n after each successful factor.
   std::size_t ap_dirty_min_ = 0;
   bool ap_floors_valid_ = false;
   std::vector<std::size_t> ap_row_floor_;     ///< per nl device
-  std::size_t ap_static_floor_ = 0;           ///< min over non-elidable devices
   // Residual-history bypass auto-disable: judge each bypassed iteration
   // by whether the following residual still contracted at the required
   // rate; workloads where stale-LU iterations repeatedly stall get the
@@ -378,6 +439,15 @@ class TransientResult {
   core::Pwl voltage_between(const std::string& a, const std::string& b) const;
 
  private:
+  friend struct detail::NewtonDriver;
+  /// record() split for the partitioned engine's commit sweep: append `t`
+  /// and make room for one more sample on every node (on the calling
+  /// thread), after which each node's sample is appended by its row task
+  /// with record_node, which then never allocates.
+  void open_record(double t);
+  void record_node(std::size_t node, double value) {
+    samples_[node].push_back(value);
+  }
   std::size_t node_index(const std::string& node) const;
   std::vector<std::string> names_;
   std::vector<double> times_;

@@ -41,7 +41,9 @@ struct LoadContext {
   /// Jacobian stamping target. Dense solves bind it to a DenseMatrix;
   /// the sparse path binds recorded slot-pointer programs (see StampSink).
   StampSink* jacobian = nullptr;
-  std::vector<double>* residual = nullptr;
+  /// Residual target: a vector on the direct paths, a recorded program or
+  /// a device's capture slice in the partitioned engine (ResidualSink).
+  ResidualSink* residual = nullptr;
   std::span<const double> x;
   LoadScope scope = LoadScope::kAll;
 };
@@ -62,11 +64,18 @@ class Device {
   ///
   /// Stamp-sequence contract (sparse slot replay): for a fixed scope and
   /// a fixed truth value of `a0 == 0`, the sequence of jacobian->stamp
-  /// calls — count, order and (row, col) targets — must not depend on
-  /// `ctx.x`, `ctx.time` or the stamped values. The sparse solver records
-  /// each program once per topology and replays it through resolved
-  /// value-slot pointers; a data-dependent stamp sequence would desync
-  /// the replay cursor (checked after every device loop).
+  /// calls — count, order and (row, col) targets — and the sequence of
+  /// residual->add rows must not depend on `ctx.x`, `ctx.time` or the
+  /// stamped values. The sparse solver records each program once per
+  /// topology and replays it through resolved value-slot pointers (the
+  /// partitioned engine also captures residual adds by program
+  /// position); a data-dependent sequence would desync the replay cursor
+  /// (checked after every device loop).
+  ///
+  /// In the activity-partitioned engine, different devices' load and
+  /// commit calls run concurrently on the shared pool (one task per
+  /// device at a time), so a device may share only read-only state with
+  /// other devices.
   virtual void load(const LoadContext& ctx) = 0;
 
   /// True when the device's *entire* load is affine in x with a Jacobian
@@ -78,14 +87,11 @@ class Device {
 
   /// Nodes of x that the device's kNonlinear load reads — the elision
   /// contract for the activity-partitioned engine. A non-empty return
-  /// promises that, for this device:
-  ///  - the kNonlinear stamps (Jacobian values *and* residual
-  ///    contributions) are a pure function of x at exactly these indices
-  ///    — independent of time, a0/ci and any committed history — and
-  ///  - the kNonlinear residual writes touch only these indices, with at
-  ///    most one addition per index per load.
-  /// Under that promise the engine may replay a cached snapshot of the
-  /// stamps whenever x at these indices is unchanged (bit-identical at
+  /// promises that the kNonlinear stamps (Jacobian values *and* residual
+  /// contributions) are a pure function of x at exactly these indices —
+  /// independent of time, a0/ci and any committed history. Under that
+  /// promise the engine may replay a cached snapshot of the stamps
+  /// whenever x at these indices is unchanged (bit-identical at
   /// tolerance 0). Ground (negative) entries are permitted and ignored.
   /// The default empty span opts the device out of elision entirely.
   virtual std::span<const int> nonlinear_inputs() const { return {}; }

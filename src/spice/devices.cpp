@@ -11,9 +11,7 @@ double node_value(std::span<const double> x, int id) {
   return id < 0 ? 0.0 : x[static_cast<std::size_t>(id)];
 }
 
-void add_residual(std::vector<double>& f, int id, double value) {
-  if (id >= 0) f[static_cast<std::size_t>(id)] += value;
-}
+void add_residual(ResidualSink& f, int id, double value) { f.add(id, value); }
 
 }  // namespace
 

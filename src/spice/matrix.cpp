@@ -944,4 +944,29 @@ bool sparse_lu_solve(const SparseMatrix& a, std::span<double> b,
   return true;
 }
 
+// -------------------------------------------------------------- stamp sinks
+
+void StampSink::stamp_slow(int row, int col) {
+  switch (mode_) {
+    case Mode::kRecord:
+      coords_->emplace_back(row, col);
+      return;
+    case Mode::kDiscard:
+      return;
+    case Mode::kDense:
+    case Mode::kSlots:
+    case Mode::kCapture:
+      break;
+  }
+  throw std::logic_error("StampSink: stamp program overrun");
+}
+
+void ResidualSink::add_slow(int row) {
+  if (mode_ == Mode::kRecord) {
+    rows_->push_back(row);
+    return;
+  }
+  throw std::logic_error("ResidualSink: residual program overrun");
+}
+
 }  // namespace samurai::spice

@@ -338,12 +338,12 @@ bool sparse_lu_solve(const SparseMatrix& a, std::span<double> b,
 ///  - slots:   `*slots[cursor++] += value` — replay of a recorded program
 ///             against resolved CSR value-slot pointers (the sparse hot
 ///             path: no hashing, no bounds search),
-///  - slots+capture: like slots, but additionally records each stamped
-///             value into a side array (`captured[cursor] = value`) — the
-///             activity-partitioned engine uses this to snapshot a
-///             quiescent device's Jacobian contribution so later steps can
-///             replay the identical values without re-evaluating the
-///             device model,
+///  - capture: `captured[cursor++] = value` — the activity-partitioned
+///             engine's device sweep: each device writes its stamps into
+///             its own slice of a program-aligned value array, and the row
+///             sweep adds each matrix entry's values up in program order
+///             (a quiescent device's slice is also what later iterations
+///             replay without re-evaluating the model),
 ///  - discard: drop everything (cache-hit passes that only need residuals).
 ///
 /// Ground stamps (negative row or col) are skipped in *every* mode with
@@ -367,14 +367,10 @@ class StampSink {
     slot_count_ = count;
     cursor_ = 0;
   }
-  /// Slots mode that also snapshots each stamped value into `captured`
-  /// (caller-sized to `count`). The cursor is shared with plain slots
-  /// mode, so a device's capture is addressed by its recorded program
-  /// range.
-  void bind_slots_capture(double* const* slots, std::size_t count,
-                          double* captured) noexcept {
-    mode_ = Mode::kSlotsCapture;
-    slots_ = slots;
+  /// Write the next `count` stamps' values to `captured` (a device's
+  /// slice of its recorded program), touching no matrix.
+  void bind_capture(double* captured, std::size_t count) noexcept {
+    mode_ = Mode::kCapture;
     slot_count_ = count;
     captured_ = captured;
     cursor_ = 0;
@@ -395,36 +391,94 @@ class StampSink {
     switch (mode_) {
       case Mode::kDense:
         dense_->stamp(row, col, value);
-        break;
+        return;
       case Mode::kSlots:
-        if (cursor_ >= slot_count_) {
-          throw std::logic_error("StampSink: stamp program overrun");
+        if (cursor_ < slot_count_) {
+          *slots_[cursor_++] += value;
+          return;
         }
-        *slots_[cursor_++] += value;
         break;
-      case Mode::kSlotsCapture:
-        if (cursor_ >= slot_count_) {
-          throw std::logic_error("StampSink: stamp program overrun");
+      case Mode::kCapture:
+        if (cursor_ < slot_count_) {
+          captured_[cursor_++] = value;
+          return;
         }
-        captured_[cursor_] = value;
-        *slots_[cursor_++] += value;
         break;
       case Mode::kRecord:
-        coords_->emplace_back(row, col);
-        break;
       case Mode::kDiscard:
         break;
     }
+    stamp_slow(row, col);
   }
 
  private:
-  enum class Mode { kDense, kSlots, kSlotsCapture, kRecord, kDiscard };
+  /// Recording, discarding and the program-overrun error, out of line so
+  /// that stamp() stays small enough to inline into every device load.
+  void stamp_slow(int row, int col);
+
+  enum class Mode { kDense, kSlots, kCapture, kRecord, kDiscard };
   Mode mode_ = Mode::kDiscard;
   DenseMatrix* dense_ = nullptr;
   std::vector<std::pair<int, int>>* coords_ = nullptr;
   double* const* slots_ = nullptr;
   std::size_t slot_count_ = 0;
   double* captured_ = nullptr;
+  std::size_t cursor_ = 0;
+};
+
+/// The residual counterpart of StampSink, handed to Device::load as
+/// LoadContext::residual. Devices always call `add(row, value)`:
+///
+///  - vector:  `(*f)[row] += value` — the direct path of every engine,
+///  - record:  append `row` to a list, once per topology, capturing a
+///             scope's residual *program* (see Device::load),
+///  - capture: `captured[cursor++] = value` into a device's slice of a
+///             program-aligned value array, which the partitioned
+///             engine's row sweep adds up per row in program order.
+///
+/// Ground (negative row) is skipped in every mode, so a recorded program
+/// and its capture walk the same sequence.
+class ResidualSink {
+ public:
+  void bind_vector(std::vector<double>* f) noexcept {
+    mode_ = Mode::kVector;
+    f_ = f;
+  }
+  void bind_record(std::vector<int>* rows) noexcept {
+    mode_ = Mode::kRecord;
+    rows_ = rows;
+  }
+  void bind_capture(double* captured, std::size_t count) noexcept {
+    mode_ = Mode::kCapture;
+    captured_ = captured;
+    count_ = count;
+    cursor_ = 0;
+  }
+
+  /// Adds consumed since the last bind_capture (program-length check).
+  std::size_t cursor() const noexcept { return cursor_; }
+
+  void add(int row, double value) {
+    if (row < 0) return;  // ground
+    if (mode_ == Mode::kVector) {
+      (*f_)[static_cast<std::size_t>(row)] += value;
+    } else if (mode_ == Mode::kCapture && cursor_ < count_) {
+      captured_[cursor_++] = value;
+    } else {
+      add_slow(row);
+    }
+  }
+
+ private:
+  /// Recording and the capture-overrun error, out of line (see stamp_slow).
+  void add_slow(int row);
+
+  enum class Mode { kVector, kCapture, kRecord };
+  Mode mode_ = Mode::kVector;
+  std::vector<double>* f_ = nullptr;
+  std::vector<int>* rows_ = nullptr;
+  double* captured_ = nullptr;
+  std::size_t count_ = 0;
   std::size_t cursor_ = 0;
 };
 

@@ -33,6 +33,15 @@ struct IterationResult {
   bool singular = false;
 };
 
+/// What the partitioned engine's row sweep reduces for finish_iteration:
+/// the residual norms and the max|J| the factorization's pivot threshold
+/// reads.
+struct RowNorms {
+  double max_residual = 0.0;         ///< node (KCL) rows, A
+  double max_branch_residual = 0.0;  ///< branch rows, V
+  double jac_max_abs = 0.0;
+};
+
 /// One planned fixed-grid step (see NewtonDriver::plan_fixed_grid).
 struct GridStep {
   double t_next = 0.0;  ///< time after the step (use verbatim, no resum)
@@ -68,15 +77,30 @@ struct NewtonDriver {
                                        std::span<const double> x, double time,
                                        double a0, double ci);
 
-  /// Activity-partitioned replacement for the plain nonlinear device
-  /// loop (sparse path, ap_mode_ != kOff): quiescent devices whose input
-  /// voltages are within tolerance of their cached evaluation replay the
-  /// cached Jacobian/residual stamps; everything else is loaded for real
-  /// (with the stamps captured for next time) and lowers the
-  /// partial-refactor dirty floor.
-  static void stamp_nonlinear_partitioned(NewtonWorkspace& ws,
-                                          std::span<const double> x,
-                                          LoadContext& ctx);
+  /// The partitioned engine's device sweep (ap_mode_ != kOff), on the
+  /// shared pool: every nonlinear device evaluates into its own capture
+  /// slices, except a quiescent device whose input voltages are within
+  /// tolerance of its cached evaluation, which keeps them; each
+  /// evaluation lowers the partial-refactor dirty floor. When
+  /// ap_lin_pending_, every device also captures its linear residual
+  /// offset f_lin(0), and its linear stamps when ap_base_pending_.
+  static void sweep_devices(NewtonWorkspace& ws, std::span<const double> x,
+                            double time, double a0, double ci);
+
+  /// The partitioned engine's row sweep, replacing assemble_linear plus
+  /// the nonlinear stamps: each MNA row copies its base Jacobian row
+  /// (rebuilt from the linear captures when ap_base_pending_), does its
+  /// linear matvec, and adds its captured Jacobian and residual values in
+  /// program order (gathering base_res_ first when ap_lin_pending_).
+  /// Returns the norms finish_iteration reads.
+  static RowNorms sweep_rows(NewtonWorkspace& ws, std::span<const double> x);
+
+  /// After an accepted step: every device commits its history and every
+  /// node records its sample — one sweep on the partitioned engine, the
+  /// plain loops elsewhere.
+  static void commit_step(NewtonWorkspace& ws, TransientResult& result,
+                          double t, std::span<const double> x, double a0,
+                          double ci);
 
   /// Recompute the per-device permuted-row floors after a fresh symbolic
   /// analysis (the permutation they translate through just changed).
@@ -84,11 +108,13 @@ struct NewtonDriver {
 
   /// Residual norms → factor-or-bypass → triangular solve → damped update
   /// → convergence test. `prev_scaled` carries the modified-Newton
-  /// contraction state across iterations of one solve.
+  /// contraction state across iterations of one solve; `swept` supplies
+  /// the norms when a row sweep already reduced them.
   static IterationResult finish_iteration(NewtonWorkspace& ws,
                                           std::vector<double>& x,
                                           const NewtonOptions& options,
-                                          int iter, double& prev_scaled);
+                                          int iter, double& prev_scaled,
+                                          const RowNorms* swept = nullptr);
 
   static std::vector<std::pair<int, double>> resolve_pins(
       Circuit& circuit, const std::map<std::string, double>& nodeset);

@@ -148,7 +148,6 @@ RtnTransientResult run_rtn_transient(
   // starting the pool); bit-identical for any thread count.
   t0 = now_seconds();
   result.traces.resize(requests.size());
-  const std::size_t cpus = util::available_cpus();
   util::parallel_for_indexed(
       requests.size(),
       [&](std::size_t k) {
@@ -156,8 +155,7 @@ RtnTransientResult run_rtn_transient(
             generate_trace(requests[k], *nominal_fets[k], result.nominal,
                            *nominal_circuit, options, pipeline);
       },
-      cpus > 1 ? std::min(util::ThreadPool::shared().worker_count() + 1, cpus)
-               : 1);
+      util::fan_out_threads());
   result.generation_seconds = now_seconds() - t0;
 
   // Pass 2: injected run on a fresh circuit.

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+
+#include "util/thread_pool.hpp"
 
 namespace samurai::sram {
 namespace {
@@ -192,6 +195,73 @@ TEST(Array2d, SchurFoldMatchesUnpartitionedWithinTolerance) {
   schur_build = build_array2d(circuit, config);
   const auto report = check_array2d(schur, config, schur_build);
   EXPECT_FALSE(report.any_error);
+}
+
+void expect_same_transient(const spice::TransientResult& a,
+                           const spice::TransientResult& b) {
+  ASSERT_EQ(a.times(), b.times());
+  ASSERT_EQ(a.node_names(), b.node_names());
+  for (const std::string& node : a.node_names()) {
+    ASSERT_EQ(a.voltage_samples(node), b.voltage_samples(node))
+        << "node " << node;
+  }
+  for (const auto& counter : spice::kSolverCounters) {
+    EXPECT_EQ(a.stats().*counter.field, b.stats().*counter.field)
+        << counter.key;
+  }
+}
+
+TEST(Array2d, SweptRunIsBitIdenticalToSerialRun) {
+  // The partitioned engine's device and row sweeps fan out over the
+  // shared pool from a plain thread, and run serially inside a pool job.
+  // Every value has one writer and the serial floating-point sequence, so
+  // both runs must agree bit for bit: perfbench's array_rw at 8x8.
+  Array2dConfig config;
+  config.tech = physics::technology("90nm");
+  config.rows = 8;
+  config.cols = 8;
+  config.initial_bits.resize(64);
+  for (std::size_t r = 0; r < 8; ++r) {
+    for (std::size_t c = 0; c < 8; ++c) {
+      config.initial_bits[r * 8 + c] = static_cast<int>((r + c) % 2);
+    }
+  }
+  std::vector<int> word(8);
+  for (std::size_t c = 0; c < 8; ++c) word[c] = static_cast<int>(c % 2);
+  config.ops = {ArrayOp::write(0, word), ArrayOp::read(0)};
+  spice::Circuit probe;
+  (void)build_array2d(probe, config);
+  const auto partition =
+      array2d_activity(probe, config, spice::ActivityMode::kSchur, 1e-4);
+
+  std::optional<Array2dRtnResult> serial;
+  util::parallel_for_indexed(
+      2,
+      [&](std::size_t i) {
+        if (i == 0) serial = run_array2d_rtn(config, 7, 1.0, &partition);
+      },
+      2);
+  const auto swept = run_array2d_rtn(config, 7, 1.0, &partition);
+  ASSERT_TRUE(serial.has_value());
+
+  expect_same_transient(serial->rtn.nominal, swept.rtn.nominal);
+  expect_same_transient(serial->rtn.with_rtn, swept.rtn.with_rtn);
+  EXPECT_GT(swept.rtn.with_rtn.stats().ap_elided_loads, 0u);
+  ASSERT_EQ(serial->rtn.traces.size(), swept.rtn.traces.size());
+  for (std::size_t k = 0; k < swept.rtn.traces.size(); ++k) {
+    const auto& a = serial->rtn.traces[k];
+    const auto& b = swept.rtn.traces[k];
+    EXPECT_EQ(a.device, b.device);
+    EXPECT_EQ(a.traps.size(), b.traps.size()) << a.device;
+    EXPECT_EQ(a.n_filled.times(), b.n_filled.times()) << a.device;
+    EXPECT_EQ(a.n_filled.values(), b.n_filled.values()) << a.device;
+    EXPECT_EQ(a.i_rtn.times(), b.i_rtn.times()) << a.device;
+    EXPECT_EQ(a.i_rtn.values(), b.i_rtn.values()) << a.device;
+    EXPECT_EQ(a.stats.accepted, b.stats.accepted) << a.device;
+  }
+  EXPECT_EQ(serial->rtn_report.any_error, swept.rtn_report.any_error);
+  EXPECT_EQ(serial->rtn_report.column_worst_margin,
+            swept.rtn_report.column_worst_margin);
 }
 
 TEST(Array2d, RtnRunReportsPhasesAndOutcomes) {

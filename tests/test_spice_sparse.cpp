@@ -254,10 +254,9 @@ TEST(SparseSolver, ThreadedColumnRunsAreBitIdentical) {
 
 TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
   // Stamp replay at tolerance 0 on a fixed time grid is *exact*: the
-  // cached slot/residual adds are the same `+=` the device's load would
-  // have executed, so every voltage sample must match the unpartitioned
-  // sparse run bit for bit — while a large fraction of the device
-  // evaluations is elided.
+  // captured slot/residual values are added per row in the order the
+  // device loads would have added them, so every voltage sample must
+  // match the unpartitioned sparse run bit for bit.
   const sram::ColumnConfig config = column_config(8);
   const auto off =
       run_column(config, spice::SolverKind::kSparse, nullptr, true);
@@ -276,8 +275,8 @@ TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
   // which a Newton update never leaves behind — so the partitioned path
   // runs every load through the capture machinery and the accounting
   // identity holds trivially. The exactness being tested is that the
-  // capture path (slot mirror + scratch-residual harvest) produces the
-  // same bits as the direct stamp.
+  // device sweep's captures, gathered by the row sweep, produce the same
+  // bits as the direct stamps.
   EXPECT_EQ(el_st.device_loads + el_st.ap_elided_loads, off_st.device_loads);
   EXPECT_EQ(off_st.ap_elided_loads, 0u);
   // Quiescent rows sit at the bottom of the fill-reducing permutation, so
