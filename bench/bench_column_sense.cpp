@@ -30,9 +30,8 @@ void usage() {
   std::fprintf(stderr,
                "usage: bench_column_sense [--node N] [--vdd V] [--cells N] "
                "[--cbl F] [--seeds N] [--rows R] [--cols C] "
-               "[--activity off|elide|schur] [--rtn-scale S]\n"
-               "  --rows/--cols size the array section (positive); "
-               "--activity picks its partition mode\n");
+               "[--rtn-scale S]\n"
+               "  --rows/--cols size the array section (positive)\n");
 }
 
 }  // namespace
@@ -42,7 +41,6 @@ int main(int argc, char** argv) {
   sram::ColumnConfig config;
   std::size_t seeds = 0;
   std::size_t rows = 0, cols = 0;
-  spice::ActivityMode activity = spice::ActivityMode::kSchur;
   double rtn_scale = 0.0;
   try {
     config.tech = physics::technology(cli.get_string("node", "90nm"));
@@ -52,20 +50,9 @@ int main(int argc, char** argv) {
     seeds = static_cast<std::size_t>(cli.get_count("seeds", 4));
     rows = static_cast<std::size_t>(cli.get_count("rows", 8));
     cols = static_cast<std::size_t>(cli.get_count("cols", 8));
-    activity = spice::activity_mode_from_string(
-        cli.get_string("activity", "schur"));
     rtn_scale = cli.get_double("rtn-scale", 300.0);
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "bench_column_sense: %s\n", err.what());
-    usage();
-    return 2;
-  }
-  if (activity != spice::ActivityMode::kSchur && rows * cols > 512) {
-    std::fprintf(stderr,
-                 "bench_column_sense: --activity %s refuses arrays over 512 "
-                 "cells (without the Schur fold the symbolic analysis runs "
-                 "the O(n^2) classic discovery; use schur)\n",
-                 spice::activity_mode_to_string(activity).c_str());
     usage();
     return 2;
   }
@@ -137,22 +124,20 @@ int main(int argc, char** argv) {
 
   spice::Circuit probe;
   (void)sram::build_array2d(probe, array);
-  const auto partition =
-      sram::array2d_activity(probe, array, activity, 1e-4);
-  const auto run = sram::run_array2d_rtn(
-      array, /*seed=*/11, rtn_scale,
-      activity == spice::ActivityMode::kOff ? nullptr : &partition);
+  const auto partition = sram::array2d_activity(
+      probe, array, spice::ActivityMode::kSchur, 1e-4);
+  const auto run =
+      sram::run_array2d_rtn(array, /*seed=*/11, rtn_scale, &partition);
 
   std::size_t array_errors = 0, array_disturbs = 0;
   for (const auto& read : run.rtn_report.reads) {
     if (read.sensed != read.expected) ++array_errors;
     if (read.disturbed) ++array_disturbs;
   }
-  std::printf("\narray %zux%zu (%s, RTN scale %g): nominal %.2f s, "
+  std::printf("\narray %zux%zu (schur, RTN scale %g): nominal %.2f s, "
               "generation %.2f s, injected %.2f s\n",
-              rows, cols, spice::activity_mode_to_string(activity).c_str(),
-              rtn_scale, run.rtn.nominal_seconds, run.rtn.generation_seconds,
-              run.rtn.injected_seconds);
+              rows, cols, rtn_scale, run.rtn.nominal_seconds,
+              run.rtn.generation_seconds, run.rtn.injected_seconds);
   util::Table array_table({"column", "worst margin (mV)",
                            "nominal worst (mV)", "loss (mV)"});
   for (std::size_t c = 0; c < cols; ++c) {
@@ -168,12 +153,11 @@ int main(int argc, char** argv) {
               array_disturbs, run.rtn_report.reads.size());
 
   std::printf("\n{\"bench\": \"column_sense\", \"array\": {\"rows\": %zu, "
-              "\"cols\": %zu, \"activity\": \"%s\", \"rtn_scale\": %g, "
+              "\"cols\": %zu, \"rtn_scale\": %g, "
               "\"min_sense_margin\": %.4f, \"nominal_min_margin\": %.4f, "
               "\"sense_errors\": %zu, \"disturbs\": %zu, "
               "\"injected_seconds\": %.3f, \"column_worst_margin\": [",
-              rows, cols, spice::activity_mode_to_string(activity).c_str(),
-              rtn_scale, run.rtn_report.min_sense_margin,
+              rows, cols, rtn_scale, run.rtn_report.min_sense_margin,
               run.nominal_report.min_sense_margin, array_errors,
               array_disturbs, run.rtn.injected_seconds);
   for (std::size_t c = 0; c < cols; ++c) {

@@ -36,25 +36,6 @@ SolverStats solver_stats_snapshot() {
   return stats;
 }
 
-// ------------------------------------------------------------ ActivityMode
-
-ActivityMode activity_mode_from_string(const std::string& text) {
-  if (text == "off") return ActivityMode::kOff;
-  if (text == "elide") return ActivityMode::kElide;
-  if (text == "schur") return ActivityMode::kSchur;
-  throw std::invalid_argument("unknown activity mode '" + text +
-                              "' (expected off|elide|schur)");
-}
-
-std::string activity_mode_to_string(ActivityMode mode) {
-  switch (mode) {
-    case ActivityMode::kOff: return "off";
-    case ActivityMode::kElide: return "elide";
-    case ActivityMode::kSchur: return "schur";
-  }
-  return "off";
-}
-
 namespace detail {
 void solver_stats_accumulate(const SolverStats& stats) {
   util::publish_counters(kSolverCounters, g_solver_stats, stats);
@@ -129,10 +110,6 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   }
   base_valid_ = false;
   lu_valid_ = false;
-  bypass_enabled_ = true;
-  last_iter_bypassed_ = false;
-  bypass_good_ = 0;
-  bypass_bad_ = 0;
 
   ap_mode_ = activity ? activity->mode : ActivityMode::kOff;
   ap_tol_ = activity ? activity->tolerance : 0.0;
@@ -251,8 +228,8 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
   }
   // Activity-partition caches: resolve the quiescent-device names against
   // this circuit's nonlinear devices, size the capture slices and build
-  // the row gathers. In kSchur mode the ordering groups go to the sparse
-  // LU (set_ordering_groups is a no-op when unchanged, so Monte-Carlo
+  // the row gathers. The ordering groups go to the sparse LU
+  // (set_ordering_groups is a no-op when unchanged, so Monte-Carlo
   // re-attaches keep the analysis).
   if (ap_mode_ != ActivityMode::kOff) {
     std::unordered_set<std::string_view> quiescent;
@@ -302,12 +279,8 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
     ap_partials_.resize(std::max(sweep_chunks(count, kDeviceGrain),
                                  sweep_chunks(n, kRowGrain)));
     ap_threads_ = util::fan_out_threads();
-    if (ap_mode_ == ActivityMode::kSchur) {
-      sp_lu_.set_ordering_groups(activity->groups);
-      stats_.ap_folded_cells += activity->groups.size();
-    } else {
-      sp_lu_.set_ordering_groups({});
-    }
+    sp_lu_.set_ordering_groups(activity->groups);
+    stats_.ap_folded_cells += activity->groups.size();
   } else {
     sp_lu_.set_ordering_groups({});
   }
@@ -748,22 +721,6 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   const double scaled = std::max(max_residual / kAbsTol,
                                  max_branch_residual / kVnTol);
 
-  // Residual-history judge for the modified-Newton bypass: score each
-  // bypassed iteration by whether the residual actually contracted.
-  // Workloads whose residual stalls under a stale factorization (seen on
-  // the coupled RTN workload) rack up "bad" bypasses and pay extra
-  // Newton iterations; once bad exceeds good by a margin, disable the
-  // bypass for the remainder of this attach.
-  if (ws.last_iter_bypassed_) {
-    const bool contracted = scaled < kBypassContraction * prev_scaled;
-    if (contracted) {
-      ++ws.bypass_good_;
-    } else {
-      ++ws.bypass_bad_;
-    }
-    if (ws.bypass_bad_ > ws.bypass_good_ + 3) ws.bypass_enabled_ = false;
-  }
-
   // Modified-Newton bypass: within a solve, re-solve against the stale
   // factorization while the scaled residual keeps contracting;
   // refactorize on stall. The first iteration always factors: across
@@ -771,10 +728,8 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   // Jacobian block, so a stale cross-step factorization degrades
   // Newton to slow linear convergence and costs far more in extra
   // MOSFET evaluations than the O(n^3) factorization it saves.
-  const bool bypass = options.reuse_lu && ws.bypass_enabled_ &&
-                      ws.lu_valid_ && iter > 0 &&
+  const bool bypass = options.reuse_lu && ws.lu_valid_ && iter > 0 &&
                       scaled < kBypassContraction * prev_scaled;
-  ws.last_iter_bypassed_ = bypass;
   if (!bypass) {
     ++st.lu_factorizations;
     if (sparse) {
@@ -1155,6 +1110,11 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
     return result;
   }
 
+  // Every step is at most dt_max and each breakpoint may add one, so
+  // this is the point count of a run the LTE control never cuts short;
+  // a run that takes more steps grows from there.
+  result.reserve(static_cast<std::size_t>(span / dt_max) +
+                 breakpoints.size() + 2);
   result.record(options.t_start, x, nodes);
 
   double t = options.t_start;

@@ -9,7 +9,7 @@
 // across iterations/steps while the residual contracts (modified-Newton
 // bypass). See DESIGN.md "The transient fast path".
 //
-// The activity-partitioned engine (ActivityMode != kOff: array and column
+// The activity-partitioned engine (ActivityMode::kSchur: array and column
 // runs) runs its per-device and per-row loops as sweeps on the shared
 // pool, min(pool workers + 1, available CPUs) participants, serially
 // inside a pool job. Per Newton iteration, a device sweep: each device
@@ -140,20 +140,16 @@ inline constexpr std::size_t kSparseAutoThreshold = 50;
 /// Activity partitioning for array-scale transients (DESIGN.md §15).
 ///  - kOff:   every nonlinear device is loaded every Newton iteration
 ///            (the unpartitioned path — also the regression oracle).
-///  - kElide: quiescent devices' nonlinear stamps are captured once and
-///            replayed while their input voltages stay within the
-///            tolerance; at tolerance 0 the replay condition is bitwise
-///            input equality and the run is bit-identical to kOff.
-///  - kSchur: kElide plus a grouped (Schur-fold) elimination ordering
-///            that condenses each quiescent cell's interior unknowns
-///            ahead of the boundary, enabling partial refactorizations
-///            that skip the folded rows.
-enum class ActivityMode { kOff, kElide, kSchur };
-
-/// Parse "off" | "elide" | "schur" (throws std::invalid_argument on
-/// anything else — CLI layers catch this and exit with usage).
-ActivityMode activity_mode_from_string(const std::string& text);
-std::string activity_mode_to_string(ActivityMode mode);
+///  - kSchur: the partitioned engine. Quiescent devices' nonlinear stamps
+///            are captured and replayed while their input voltages stay
+///            within the tolerance, and the partition's groups give a
+///            grouped (Schur-fold) elimination ordering that condenses
+///            each quiescent cell's interior unknowns ahead of the
+///            boundary, so partial refactorizations skip the folded rows.
+///            A partition without groups replays only; at tolerance 0 the
+///            replay condition is bitwise input equality and such a run is
+///            bit-identical to kOff (the tolerance-0 oracle).
+enum class ActivityMode { kOff, kSchur };
 
 /// Activity map for one circuit topology. Device names (not pointers) so
 /// one partition serves both passes of run_rtn_transient, whose nominal
@@ -167,9 +163,9 @@ struct ActivityPartition {
   /// quiescent cell). Names absent from the circuit are ignored; devices
   /// without a nonlinear_inputs() contract stay active.
   std::vector<std::string> quiescent_devices;
-  /// Schur ordering groups (kSchur only): each inner list holds the MNA
-  /// unknown indices interior to one quiescent cell. Forwarded to
-  /// SparseLu::set_ordering_groups.
+  /// Schur ordering groups: each inner list holds the MNA unknown indices
+  /// interior to one quiescent cell. Forwarded to
+  /// SparseLu::set_ordering_groups; empty = replay only.
   std::vector<std::vector<int>> groups;
 };
 
@@ -192,16 +188,14 @@ class NewtonWorkspace {
   /// pattern is unchanged — the cross-repetition reuse that makes
   /// Monte-Carlo campaigns pay for the analysis exactly once.
   ///
-  /// A non-null `activity` with mode != kOff engages the
+  /// A non-null `activity` with mode kSchur engages the
   /// activity-partitioned engine (forcing the sparse path regardless of
   /// size): elision caches are sized, quiescent-device names resolved and
-  /// — in kSchur mode — the ordering groups handed to the sparse LU.
+  /// the ordering groups handed to the sparse LU.
   void attach(Circuit& circuit, SolverKind solver = SolverKind::kAuto,
               const ActivityPartition* activity = nullptr);
 
   const SolverStats& stats() const noexcept { return stats_; }
-  /// True when the last attach selected the sparse engine.
-  bool uses_sparse() const noexcept { return use_sparse_; }
   /// L+U nonzeros of the live sparse factorization (0 before the first
   /// sparse factor). Benches report this to compare orderings.
   std::size_t lu_fill_nnz() const noexcept { return sp_lu_.fill_nnz(); }
@@ -258,7 +252,7 @@ class NewtonWorkspace {
   std::vector<std::size_t> res_nl_begin_;
   std::vector<int> res_lin_rows_;
   std::vector<std::size_t> res_lin_begin_;
-  // Activity-partitioned engine state (engaged when ap_mode_ != kOff;
+  // Activity-partitioned engine state (engaged when ap_mode_ == kSchur;
   // always rides the sparse path). It runs as sweeps on the shared pool
   // (DESIGN.md §15): a device sweep in which every nonlinear device
   // evaluates (or replays) into its own slices of ap_jac_vals_ and
@@ -324,14 +318,6 @@ class NewtonWorkspace {
   std::size_t ap_dirty_min_ = 0;
   bool ap_floors_valid_ = false;
   std::vector<std::size_t> ap_row_floor_;     ///< per nl device
-  // Residual-history bypass auto-disable: judge each bypassed iteration
-  // by whether the following residual still contracted at the required
-  // rate; workloads where stale-LU iterations repeatedly stall get the
-  // bypass switched off for the rest of the attachment.
-  bool bypass_enabled_ = true;
-  bool last_iter_bypassed_ = false;
-  std::uint32_t bypass_good_ = 0;
-  std::uint32_t bypass_bad_ = 0;
   SolverStats stats_;
 };
 
@@ -400,7 +386,7 @@ struct TransientOptions {
   bool fixed_grid = false;
   /// Extra mandatory time points (e.g. RTN switch instants).
   std::vector<double> extra_breakpoints;
-  /// Activity partition for array-scale circuits (kOff = classic path).
+  /// Activity partition for array-scale circuits (kOff = unpartitioned).
   /// Rejected by the batched engine (transient_batch throws).
   ActivityPartition activity;
   /// Called after every accepted step with (t, solution). This is the

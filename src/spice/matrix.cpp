@@ -185,9 +185,9 @@ double singularity_threshold(double scale, std::size_t n) {
 }
 
 /// When a grouped (Schur-fold) analysis fails — a group interior that is
-/// not invertible on its own — fall back to the classic whole-matrix
-/// discovery, but only below this size: the classic path allocates an
-/// O(n²) dense working copy, which at array scale (tens of thousands of
+/// not invertible on its own — analyse again without groups, but only
+/// below this size: with every unknown on the boundary the analysis works
+/// on an O(n²) dense copy, which at array scale (tens of thousands of
 /// unknowns) is gigabytes. Above the limit the failure is reported to the
 /// caller instead.
 constexpr std::size_t kGroupedFallbackLimit = 8192;
@@ -246,12 +246,9 @@ bool SparseLu::factor(const SparseMatrix& a, double scale_hint,
 bool SparseLu::analyze(const SparseMatrix& a, double threshold) {
   numeric_valid_ = false;
   n_ = a.size();
-  bool ok;
-  if (!groups_.empty()) {
-    ok = analyze_grouped(a, threshold);
-    if (!ok && n_ <= kGroupedFallbackLimit) ok = analyze_classic(a, threshold);
-  } else {
-    ok = analyze_classic(a, threshold);
+  bool ok = analyze_grouped(a, threshold, groups_);
+  if (!ok && !groups_.empty() && n_ <= kGroupedFallbackLimit) {
+    ok = analyze_grouped(a, threshold, {});
   }
   if (!ok) return false;
   build_scatter_map(a);
@@ -366,64 +363,6 @@ bool SparseLu::markowitz_eliminate(std::vector<double>& dense,
   return true;
 }
 
-bool SparseLu::analyze_classic(const SparseMatrix& a, double threshold) {
-  const std::size_t n = a.size();
-  // Dense working copy with structure tracked separately from values:
-  // a numerically cancelled entry stays in the pattern, so the recorded
-  // fill is a superset of every future refactorization's fill.
-  dense_.assign(n * n, 0.0);
-  struct_.assign(n * n, 0);
-  const auto& arp = a.row_ptr();
-  const auto& acols = a.cols();
-  const auto& avals = a.values();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (int idx = arp[i]; idx < arp[i + 1]; ++idx) {
-      const auto j = static_cast<std::size_t>(acols[static_cast<std::size_t>(idx)]);
-      dense_[i * n + j] = avals[static_cast<std::size_t>(idx)];
-      struct_[i * n + j] = 1;
-    }
-  }
-  if (!markowitz_eliminate(dense_, struct_, n, threshold, row_perm_,
-                           row_perm_inv_, col_perm_, col_perm_inv_)) {
-    return false;
-  }
-
-  // Harvest the permuted L+U pattern and this factorization's values.
-  // Row k of the factors is original row row_perm_[k]; its structural
-  // entries map to permuted columns col_perm_inv_[c] and are emitted in
-  // ascending permuted-column order.
-  lu_row_ptr_.assign(n + 1, 0);
-  lu_diag_.assign(n, 0);
-  recip_diag_.assign(n, 0.0);
-  std::size_t nnz = 0;
-  for (std::size_t i = 0; i < n * n; ++i) nnz += struct_[i];
-  lu_cols_.clear();
-  lu_cols_.reserve(nnz);
-  lu_vals_.clear();
-  lu_vals_.reserve(nnz);
-  candidates_.clear();  // reuse as (permuted col, dense index) sorter
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t r = row_perm_[k];
-    candidates_.clear();
-    for (std::size_t c = 0; c < n; ++c) {
-      if (struct_[r * n + c]) {
-        candidates_.emplace_back(col_perm_inv_[c], r * n + c);
-      }
-    }
-    std::sort(candidates_.begin(), candidates_.end());
-    for (const auto& [kc, di] : candidates_) {
-      if (kc == k) lu_diag_[k] = static_cast<int>(lu_cols_.size());
-      lu_cols_.push_back(static_cast<int>(kc));
-      lu_vals_.push_back(dense_[di]);
-    }
-    lu_row_ptr_[k + 1] = static_cast<int>(lu_cols_.size());
-    const double pivot = dense_[r * n + col_perm_[k]];
-    if (std::abs(pivot) < threshold) return false;
-    recip_diag_[k] = 1.0 / pivot;
-  }
-  return true;
-}
-
 void SparseLu::build_scatter_map(const SparseMatrix& a) {
   // Scatter map for refactorizations, and the pattern identity key.
   const std::size_t n = n_;
@@ -448,7 +387,8 @@ void SparseLu::build_scatter_map(const SparseMatrix& a) {
   pb_.assign(n, 0.0);
 }
 
-bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
+bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold,
+                               std::span<const std::vector<int>> groups) {
   const std::size_t n = a.size();
   const auto& arp = a.row_ptr();
   const auto& acols = a.cols();
@@ -460,8 +400,8 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   // cross-group edge has both endpoints demoted, so the surviving
   // interiors couple only within their group or to the boundary).
   std::vector<int> group_of(n, -1);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (const int u : groups_[g]) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const int u : groups[g]) {
       if (u < 0 || static_cast<std::size_t>(u) >= n) {
         throw std::out_of_range(
             "SparseLu: ordering-group unknown outside the system");
@@ -505,9 +445,9 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
     std::vector<std::size_t> lrow_pos;   ///< local interior row -> step
     std::vector<std::size_t> lcol_pos;   ///< local interior col -> step
   };
-  std::vector<LocalFactor> locals(groups_.size());
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    for (const int u : groups_[g]) {
+  std::vector<LocalFactor> locals(groups.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    for (const int u : groups[g]) {
       if (group_of[static_cast<std::size_t>(u)] == static_cast<int>(g)) {
         locals[g].ids.push_back(u);
       }
@@ -549,7 +489,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   // riding along as permanently-active spectators — their updates are the
   // Schur complement, their fill the Schur pattern.
   std::vector<int> loc_of(n, -1);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     LocalFactor& lf = locals[g];
     const std::size_t ni = lf.ids.size();
     if (ni == 0) continue;
@@ -603,7 +543,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
         if (!lcol_act[j]) continue;
         // Stability is judged against the column's largest entry over
         // *all* active local rows, boundary rows included — the same
-        // entries the classic whole-matrix pass would have seen.
+        // entries an analysis without groups would have seen.
         double cmax = 0.0;
         for (std::size_t i = 0; i < m; ++i) {
           if (lrow_act[i] && lf.strct[i * m + j]) {
@@ -637,7 +577,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
         pc = fc;
       }
       // A group interior that is not invertible against its own unknowns
-      // cannot be folded; the caller falls back to the classic analysis.
+      // cannot be folded; analyze() then retries without groups.
       if (pr == m) return false;
 
       lf.lrow_perm[step] = pr;
@@ -671,7 +611,8 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   }
 
   // Boundary block: A's boundary×boundary entries plus every group's
-  // Schur increment, eliminated with the shared Markowitz core.
+  // Schur increment, eliminated by markowitz_eliminate. Without groups
+  // this is the whole matrix.
   dense_.assign(nb * nb, 0.0);
   struct_.assign(nb * nb, 0);
   for (std::size_t bi = 0; bi < nb; ++bi) {
@@ -686,7 +627,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
       }
     }
   }
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const LocalFactor& lf = locals[g];
     const std::size_t ni = lf.ids.size();
     if (ni == 0) continue;
@@ -717,9 +658,9 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   row_perm_inv_.assign(n, 0);
   col_perm_.assign(n, 0);
   col_perm_inv_.assign(n, 0);
-  std::vector<std::size_t> goff(groups_.size(), 0);
+  std::vector<std::size_t> goff(groups.size(), 0);
   std::size_t off = 0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const LocalFactor& lf = locals[g];
     goff[g] = off;
     for (std::size_t s = 0; s < lf.ids.size(); ++s) {
@@ -745,7 +686,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
   // Boundary unknown -> (group, local row) back references for the
   // boundary rows' interior-column (L) entries.
   std::vector<std::vector<std::pair<int, int>>> bnd_groups(nb);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const LocalFactor& lf = locals[g];
     if (lf.ids.empty()) continue;
     for (std::size_t lb = 0; lb < lf.bids.size(); ++lb) {
@@ -776,7 +717,7 @@ bool SparseLu::analyze_grouped(const SparseMatrix& a, double threshold) {
     lu_row_ptr_[k + 1] = static_cast<int>(lu_cols_.size());
     return have_diag;
   };
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
+  for (std::size_t g = 0; g < groups.size(); ++g) {
     const LocalFactor& lf = locals[g];
     const std::size_t ni = lf.ids.size();
     const std::size_t m = ni + lf.bids.size();

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "spice/devices.hpp"
+#include "sram/pattern.hpp"
 
 namespace samurai::sram {
 
@@ -24,13 +25,6 @@ struct ArrayWaves {
   std::vector<core::Pwl> wd0;     ///< per column, pulls BL low
   std::vector<core::Pwl> wd1;     ///< per column, pulls BLB low
 };
-
-void drive_to(core::Pwl& wave, double t, double edge, double value) {
-  const double current = wave.values().empty() ? value : wave.values().back();
-  if (current == value) return;
-  if (t > wave.back_time()) wave.append(t, current);
-  wave.append(t + edge, value);
-}
 
 ArrayWaves build_waves(const Array2dConfig& config) {
   const auto& timing = config.timing;
@@ -288,7 +282,6 @@ spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
         partition.quiescent_devices.push_back(prefix + "M" +
                                               std::to_string(m));
       }
-      if (mode != spice::ActivityMode::kSchur) continue;
       partition.groups.push_back({circuit.find_node(prefix + "q"),
                                   circuit.find_node(prefix + "qb"),
                                   circuit.find_node(prefix + "bl"),

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "spice/devices.hpp"
+#include "sram/pattern.hpp"
 
 namespace samurai::sram {
 
@@ -23,13 +24,6 @@ struct ColumnWaves {
   core::Pwl wd1;                 ///< write driver pulling BLB low
   double t_end = 0.0;
 };
-
-void drive_to(core::Pwl& wave, double t, double edge, double value) {
-  const double current = wave.values().empty() ? value : wave.values().back();
-  if (current == value) return;
-  if (t > wave.back_time()) wave.append(t, current);
-  wave.append(t + edge, value);
-}
 
 ColumnWaves build_waves(const ColumnConfig& config) {
   const auto& timing = config.timing;
@@ -244,7 +238,6 @@ spice::ActivityPartition column_activity(spice::Circuit& circuit,
     for (int m = 1; m <= 6; ++m) {
       partition.quiescent_devices.push_back(prefix + "M" + std::to_string(m));
     }
-    if (mode != spice::ActivityMode::kSchur) continue;
     auto* vwl = circuit.find<spice::VoltageSource>(prefix + "Vwl");
     if (vwl == nullptr) {
       throw std::invalid_argument("column_activity: circuit is not a "

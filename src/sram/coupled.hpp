@@ -50,11 +50,9 @@ struct CoupledColumnResult {
 /// the auto threshold), where every cell transistor carries live trap
 /// chains advanced after each accepted step at its actual instantaneous
 /// node voltages — so a cell's RTN back-action reaches its neighbours
-/// through the shared bitlines within the same run. `solver` pins the
-/// linear engine (benchmarks); kAuto sizes it from the column.
+/// through the shared bitlines within the same run.
 CoupledColumnResult run_coupled_column(
     const ColumnConfig& config, std::uint64_t seed, double rtn_scale,
-    const physics::TrapProfileOptions& profile = {},
-    spice::SolverKind solver = spice::SolverKind::kAuto);
+    const physics::TrapProfileOptions& profile = {});
 
 }  // namespace samurai::sram

@@ -31,18 +31,12 @@ double PatternWaveforms::wl_off_time(std::size_t k) const {
          timing.edge;
 }
 
-namespace {
-
-/// Append a transition to `target` at time t over `edge` seconds, if the
-/// value differs from the current level.
 void drive_to(core::Pwl& wave, double t, double edge, double value) {
   const double current = wave.values().empty() ? value : wave.values().back();
   if (current == value) return;
   if (t > wave.back_time()) wave.append(t, current);
   wave.append(t + edge, value);
 }
-
-}  // namespace
 
 PatternWaveforms build_pattern(const std::vector<Op>& ops, double v_dd,
                                const PatternTiming& timing) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -167,15 +166,8 @@ std::size_t ThreadPool::worker_count() const noexcept {
 ParallelForStats ThreadPool::for_indexed(
     std::size_t n, std::size_t max_participants,
     const std::function<void(std::size_t)>& fn) {
-  const auto start = std::chrono::steady_clock::now();
   ParallelForStats stats;
-  auto finish = [&] {
-    stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return stats;
-  };
-  if (n == 0) return finish();
+  if (n == 0) return stats;
 
   if (max_participants == 0) max_participants = worker_count() + 1;
   std::size_t participants =
@@ -197,7 +189,7 @@ ParallelForStats ThreadPool::for_indexed(
       fn(i);
       ++stats.tasks_run;
     }
-    return finish();
+    return stats;
   }
 
   Impl& pool = *impl_;
@@ -242,13 +234,12 @@ ParallelForStats ThreadPool::for_indexed(
   stats.threads_used = participants;
   stats.tasks_run = pool.tasks.load(std::memory_order_relaxed);
   stats.steals = pool.steals.load(std::memory_order_relaxed);
-  const ParallelForStats out = finish();
   if (pool.has_exception.load(std::memory_order_acquire)) {
     std::exception_ptr error = std::move(pool.exception);
     pool.exception = nullptr;
     std::rethrow_exception(error);
   }
-  return out;
+  return stats;
 }
 
 ThreadPool& ThreadPool::shared() {
@@ -281,15 +272,11 @@ ParallelForStats parallel_for_indexed(
     std::size_t n, const std::function<void(std::size_t)>& fn,
     std::size_t threads) {
   if (threads <= 1 || n <= 1) {
-    const auto start = std::chrono::steady_clock::now();
     ParallelForStats stats;
     for (std::size_t i = 0; i < n; ++i) {
       fn(i);
       ++stats.tasks_run;
     }
-    stats.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
     return stats;
   }
   return ThreadPool::shared().for_indexed(n, threads, fn);

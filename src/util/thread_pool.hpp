@@ -46,7 +46,6 @@ struct ParallelForStats {
   std::size_t threads_used = 1;  ///< participants offered, incl. the caller
   std::uint64_t tasks_run = 0;   ///< indices executed (== n unless cancelled)
   std::uint64_t steals = 0;      ///< tasks run by a non-owning participant
-  double wall_seconds = 0.0;     ///< wall time of the whole loop
 };
 
 class ThreadPool {

@@ -34,7 +34,7 @@ spice::TransientResult run_array(const Array2dConfig& config,
                                  spice::ActivityMode activity,
                                  double tolerance = 0.0,
                                  Array2dBuild* build_out = nullptr,
-                                 bool fixed_steps = true) {
+                                 bool fixed_steps = true, bool fold = true) {
   spice::Circuit circuit;
   auto build = build_array2d(circuit, config);
   spice::TransientOptions options = array2d_transient_options(config);
@@ -45,6 +45,8 @@ spice::TransientResult run_array(const Array2dConfig& config,
     options.lte_abstol = 1e9;
   }
   options.activity = array2d_activity(circuit, config, activity, tolerance);
+  // Without its groups a partition only replays stamps (no fold).
+  if (!fold) options.activity.groups.clear();
   if (build_out) *build_out = std::move(build);
   return spice::transient(circuit, options);
 }
@@ -127,13 +129,14 @@ TEST(Array2d, ActivityPartitionCoversQuiescentRowsOnly) {
   Array2dConfig config = small_array();  // ops address rows 1 and 3
   spice::Circuit circuit;
   build_array2d(circuit, config);
-  const auto elide = array2d_activity(circuit, config,
-                                      spice::ActivityMode::kElide);
-  // Rows 0 and 2 are quiescent: 2 rows × 4 cols × 6 transistors.
-  EXPECT_EQ(elide.quiescent_devices.size(), 48u);
-  EXPECT_TRUE(elide.groups.empty());
+  const auto off = array2d_activity(circuit, config,
+                                    spice::ActivityMode::kOff);
+  EXPECT_EQ(off.mode, spice::ActivityMode::kOff);
+  EXPECT_TRUE(off.quiescent_devices.empty());
+  EXPECT_TRUE(off.groups.empty());
   const auto schur = array2d_activity(circuit, config,
                                       spice::ActivityMode::kSchur);
+  // Rows 0 and 2 are quiescent: 2 rows × 4 cols × 6 transistors.
   EXPECT_EQ(schur.quiescent_devices.size(), 48u);
   ASSERT_EQ(schur.groups.size(), 8u);  // one fold group per quiescent cell
   for (const auto& group : schur.groups) EXPECT_EQ(group.size(), 6u);
@@ -150,12 +153,14 @@ TEST(Array2d, ActivityPartitionCoversQuiescentRowsOnly) {
 }
 
 TEST(Array2d, ElideIsBitIdenticalOnFixedGrid) {
-  // Same exactness contract as the column: tolerance 0 on a fixed time
-  // grid routes every load through the capture path and must reproduce
-  // the unpartitioned sparse run bit for bit.
+  // Same exactness contract as the column: a partition without groups at
+  // tolerance 0 on a fixed time grid routes every load through the
+  // capture path and must reproduce the unpartitioned sparse run bit for
+  // bit.
   const Array2dConfig config = small_array();
   const auto off = run_array(config, spice::ActivityMode::kOff);
-  const auto elide = run_array(config, spice::ActivityMode::kElide, 0.0);
+  const auto elide = run_array(config, spice::ActivityMode::kSchur, 0.0,
+                               nullptr, true, /*fold=*/false);
   ASSERT_EQ(elide.times(), off.times());
   for (const std::string& node : off.node_names()) {
     ASSERT_EQ(elide.voltage_samples(node), off.voltage_samples(node))
@@ -163,6 +168,7 @@ TEST(Array2d, ElideIsBitIdenticalOnFixedGrid) {
   }
   const auto& st = elide.stats();
   EXPECT_EQ(st.device_loads + st.ap_elided_loads, off.stats().device_loads);
+  EXPECT_EQ(st.ap_folded_cells, 0u);
   EXPECT_GT(st.ap_partial_refactors, 0u);
 }
 

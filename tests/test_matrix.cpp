@@ -463,6 +463,50 @@ TEST(SparseLu, GroupedOrderingRejectsBadGroups) {
   EXPECT_THROW(lu.factor(a), std::out_of_range);
 }
 
+TEST(SparseLu, GroupedAnalysisFallsBackWithoutGroups) {
+  // Unknowns 0 and 1 are boundary; the group {2, 3} holds unknown 2, whose
+  // diagonal is zero and which couples only to boundary unknown 0 (a
+  // branch-row shape), so the group interior cannot pivot on its own and
+  // the grouped analysis fails. analyze() must rerun without groups: the
+  // result is the no-group analysis exactly, and it solves like dense LU.
+  const std::vector<std::pair<int, int>> coords = {
+      {0, 0}, {0, 1}, {1, 0}, {1, 1}, {0, 2}, {2, 0}, {1, 3}, {3, 1}, {3, 3}};
+  SparseMatrix a;
+  a.build_pattern(4, coords);
+  const double values[] = {4.0, 1.0, 1.0, 5.0, 1.0, 1.0, 0.5, 0.5, 3.0};
+  for (std::size_t k = 0; k < coords.size(); ++k) {
+    *a.slot(coords[k].first, coords[k].second) = values[k];
+  }
+  SparseLu grouped;
+  grouped.set_ordering_groups({{2, 3}});
+  bool was_analysis = false;
+  ASSERT_TRUE(grouped.factor(a, -1.0, &was_analysis));
+  EXPECT_TRUE(was_analysis);
+  EXPECT_TRUE(grouped.has_ordering_groups());
+  SparseLu plain;
+  ASSERT_TRUE(plain.factor(a));
+  EXPECT_EQ(grouped.fill_nnz(), plain.fill_nnz());
+  for (std::size_t row = 0; row < 4; ++row) {
+    EXPECT_EQ(grouped.permuted_row(row), plain.permuted_row(row))
+        << "row " << row;
+  }
+  util::Rng rng(73);
+  solve_and_check(grouped, a, rng, 1e-12);
+  DenseMatrix ad;
+  a.to_dense(ad);
+  std::vector<double> b = {1.0, -2.0, 0.5, 3.0};
+  std::vector<double> b_dense = b;
+  grouped.solve(b);
+  ASSERT_TRUE(lu_solve(ad, b_dense));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(b[i], b_dense[i], 1e-12);
+  // New values on the same pattern: a numeric refactor of the fallback
+  // analysis, no second analysis.
+  for (double& v : a.values()) v *= 1.25;
+  ASSERT_TRUE(grouped.factor(a, -1.0, &was_analysis));
+  EXPECT_FALSE(was_analysis);
+  solve_and_check(grouped, a, rng, 1e-12);
+}
+
 TEST(SparseLu, PartialRefactorIsBitIdenticalToFull) {
   util::Rng rng(71);
   SparseMatrix a;

@@ -50,7 +50,8 @@ spice::TransientResult run_column(const sram::ColumnConfig& config,
                                   bool fixed_steps = false,
                                   spice::ActivityMode activity =
                                       spice::ActivityMode::kOff,
-                                  double activity_tol = 0.0) {
+                                  double activity_tol = 0.0,
+                                  bool fold = true) {
   spice::Circuit circuit;
   auto build = sram::build_column(circuit, config);
   spice::TransientOptions options = sram::column_transient_options(config);
@@ -66,6 +67,9 @@ spice::TransientResult run_column(const sram::ColumnConfig& config,
   }
   options.activity =
       sram::column_activity(circuit, config, activity, activity_tol);
+  // Without its groups a partition only replays stamps: no fold, the
+  // unpartitioned elimination order.
+  if (!fold) options.activity.groups.clear();
   if (build_out) *build_out = std::move(build);
   return spice::transient(circuit, options);
 }
@@ -255,14 +259,16 @@ TEST(SparseSolver, ThreadedColumnRunsAreBitIdentical) {
 TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
   // Stamp replay at tolerance 0 on a fixed time grid is *exact*: the
   // captured slot/residual values are added per row in the order the
-  // device loads would have added them, so every voltage sample must
-  // match the unpartitioned sparse run bit for bit.
+  // device loads would have added them, and a partition without groups
+  // keeps the unpartitioned elimination order, so every voltage sample
+  // must match the unpartitioned sparse run bit for bit.
   const sram::ColumnConfig config = column_config(8);
   const auto off =
       run_column(config, spice::SolverKind::kSparse, nullptr, true);
   sram::ColumnBuild build;
-  const auto elide = run_column(config, spice::SolverKind::kSparse, &build,
-                                true, spice::ActivityMode::kElide, 0.0);
+  const auto elide =
+      run_column(config, spice::SolverKind::kSparse, &build, true,
+                 spice::ActivityMode::kSchur, 0.0, /*fold=*/false);
   ASSERT_EQ(elide.times(), off.times());
   for (const std::string& node : off.node_names()) {
     ASSERT_EQ(elide.voltage_samples(node), off.voltage_samples(node))
@@ -279,6 +285,7 @@ TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
   // bits as the direct stamps.
   EXPECT_EQ(el_st.device_loads + el_st.ap_elided_loads, off_st.device_loads);
   EXPECT_EQ(off_st.ap_elided_loads, 0u);
+  EXPECT_EQ(el_st.ap_folded_cells, 0u);
   // Quiescent rows sit at the bottom of the fill-reducing permutation, so
   // most refactors only resweep the active suffix.
   EXPECT_GT(el_st.ap_partial_refactors, 0u);
@@ -294,8 +301,9 @@ TEST(SparseSolver, ActivityElideToleranceBoundsError) {
   sram::ColumnBuild build;
   const auto off =
       run_column(config, spice::SolverKind::kSparse, &build, true);
-  const auto elide = run_column(config, spice::SolverKind::kSparse, nullptr,
-                                true, spice::ActivityMode::kElide, 1e-6);
+  const auto elide =
+      run_column(config, spice::SolverKind::kSparse, nullptr, true,
+                 spice::ActivityMode::kSchur, 1e-6, /*fold=*/false);
   const double t_end = off.times().back();
   for (const std::string& node :
        {build.bl, build.blb, build.cells[3].q, build.cells[0].q}) {

@@ -55,7 +55,6 @@ TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   EXPECT_EQ(stats.tasks_run, kN);
   EXPECT_GE(stats.threads_used, 1u);
   EXPECT_LE(stats.threads_used, 8u);
-  EXPECT_GE(stats.wall_seconds, 0.0);
 }
 
 TEST(ThreadPool, ResultsAreIdenticalAcrossThreadCounts) {
