@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
   std::size_t rows = 0, cols = 0;
   double rtn_scale = 0.0;
   try {
+    cli.require_declared({"node", "vdd", "cells", "cbl", "seeds", "rows",
+                          "cols", "rtn-scale"});
     config.tech = physics::technology(cli.get_string("node", "90nm"));
     config.tech.v_dd = cli.get_double("vdd", 1.0);
     config.num_cells = static_cast<std::size_t>(cli.get_count("cells", 4));

@@ -367,6 +367,7 @@ int main(int argc, char** argv) {
   std::size_t array_rows = 0;
   std::size_t array_cols = 0;
   try {
+    cli.require_declared({"quick", "reps", "coupled-reps", "rows", "cols"});
     reps = static_cast<int>(cli.get_count("reps", quick ? 20 : 200));
     coupled_reps =
         static_cast<int>(cli.get_count("coupled-reps", quick ? 2 : 4));

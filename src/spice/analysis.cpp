@@ -56,15 +56,6 @@ std::size_t sweep_chunks(std::size_t items, std::size_t grain) {
   return (items + grain - 1) / grain;
 }
 
-/// Run fn(chunk) for every chunk on `threads` participants of the shared
-/// pool (serially inside a pool job). The one-reference capture fits
-/// std::function's local buffer, so a sweep allocates nothing.
-template <typename Fn>
-void sweep(std::size_t chunks, std::size_t threads, const Fn& fn) {
-  util::parallel_for_indexed(
-      chunks, [&fn](std::size_t chunk) { fn(chunk); }, threads);
-}
-
 /// For each target in [0, targets), the program positions p with
 /// target_of[p] == target, in program order (a stable counting sort into
 /// CSR form).
@@ -457,7 +448,7 @@ void NewtonDriver::sweep_devices(NewtonWorkspace& ws,
   const std::size_t nl_chunks = sweep_chunks(count, kDeviceGrain);
   const std::size_t lin_chunks =
       ws.ap_lin_pending_ ? sweep_chunks(ws.devices_.size(), kDeviceGrain) : 0;
-  sweep(nl_chunks + lin_chunks, ws.ap_threads_, [&](std::size_t chunk) {
+  util::sweep(nl_chunks + lin_chunks, ws.ap_threads_, [&](std::size_t chunk) {
     StampSink jac;
     ResidualSink res;
     LoadContext ctx;
@@ -563,7 +554,7 @@ RowNorms NewtonDriver::sweep_rows(NewtonWorkspace& ws,
     }
     return start;
   };
-  sweep(chunks, ws.ap_threads_, [&](std::size_t chunk) {
+  util::sweep(chunks, ws.ap_threads_, [&](std::size_t chunk) {
     const std::vector<int>& row_ptr = ws.sp_jac_.row_ptr();
     const std::vector<int>& cols = ws.sp_jac_.cols();
     std::vector<double>& base = ws.sp_base_.values();
@@ -639,23 +630,23 @@ void NewtonDriver::commit_step(NewtonWorkspace& ws, TransientResult& result,
   result.open_record(t);
   const std::size_t device_chunks =
       sweep_chunks(ws.devices_.size(), kDeviceGrain);
-  sweep(device_chunks + sweep_chunks(nodes, kRowGrain), ws.ap_threads_,
-        [&](std::size_t chunk) {
-          if (chunk < device_chunks) {
-            const std::size_t first = chunk * kDeviceGrain;
-            const std::size_t last =
-                std::min(ws.devices_.size(), first + kDeviceGrain);
-            for (std::size_t d = first; d < last; ++d) {
-              ws.devices_[d]->commit(x, a0, ci);
-            }
-            return;
-          }
-          const std::size_t first = (chunk - device_chunks) * kRowGrain;
-          const std::size_t last = std::min(nodes, first + kRowGrain);
-          for (std::size_t i = first; i < last; ++i) {
-            result.record_node(i, x[i]);
-          }
-        });
+  util::sweep(device_chunks + sweep_chunks(nodes, kRowGrain), ws.ap_threads_,
+              [&](std::size_t chunk) {
+                if (chunk < device_chunks) {
+                  const std::size_t first = chunk * kDeviceGrain;
+                  const std::size_t last =
+                      std::min(ws.devices_.size(), first + kDeviceGrain);
+                  for (std::size_t d = first; d < last; ++d) {
+                    ws.devices_[d]->commit(x, a0, ci);
+                  }
+                  return;
+                }
+                const std::size_t first = (chunk - device_chunks) * kRowGrain;
+                const std::size_t last = std::min(nodes, first + kRowGrain);
+                for (std::size_t i = first; i < last; ++i) {
+                  result.record_node(i, x[i]);
+                }
+              });
 }
 
 void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {

@@ -19,9 +19,11 @@
 // its base Jacobian row, does its linear matvec, adds its captured values
 // in program order, and reduces its share of the residual norms and
 // max|J|. Per accepted step, one sweep commits every device's history and
-// records every node's sample. Each value has one writer and the serial
-// floating-point sequence, so results are bit-identical at any
-// participant count (DESIGN.md §15). The sparse LU stays serial.
+// records every node's sample. With the Schur fold's ordering groups the
+// sparse LU's grouped analysis and numeric refactorization run on the same
+// participants (see SparseLu); its triangular solve stays serial. Each
+// value has one writer and the serial floating-point sequence, so results
+// are bit-identical at any participant count (DESIGN.md §15).
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <stdexcept>
 
@@ -14,12 +15,23 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     const std::string body = arg.substr(2);
     const auto eq = body.find('=');
+    const std::string name = body.substr(0, eq);
+    names_.push_back(name);
     if (eq != std::string::npos) {
-      options_[body.substr(0, eq)] = body.substr(eq + 1);
+      options_[name] = body.substr(eq + 1);
     } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      options_[body] = argv[++i];
+      options_[name] = argv[++i];
     } else {
-      options_[body] = "true";  // bare flag
+      options_[name] = "true";  // bare flag
+    }
+  }
+}
+
+void Cli::require_declared(
+    std::initializer_list<std::string_view> declared) const {
+  for (const std::string& name : names_) {
+    if (std::find(declared.begin(), declared.end(), name) == declared.end()) {
+      throw std::invalid_argument("unknown option --" + name);
     }
   }
 }

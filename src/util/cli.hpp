@@ -1,15 +1,18 @@
 // Minimal command-line option parsing for examples and benches.
 //
-// Supports `--name value` and `--name=value`. Options are not declared:
-// an unknown option is silently ignored, so a typo'd name runs with the
-// default. A value must parse in full (no trailing junk; seeds take no
-// sign), otherwise the getter throws std::invalid_argument naming the
-// option. Only the handful of types the binaries need.
+// Supports `--name value` and `--name=value`. A binary that declares its
+// options (require_declared) fails on an unknown one; otherwise an unknown
+// option is silently ignored, so a typo'd name runs with the default. A
+// value must parse in full (no trailing junk; seeds take no sign),
+// otherwise the getter throws std::invalid_argument naming the option.
+// Only the handful of types the binaries need.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace samurai::util {
@@ -17,6 +20,11 @@ namespace samurai::util {
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
+
+  /// Throws std::invalid_argument naming the first option on the command
+  /// line that is not in `declared`, so that a retired or typo'd flag
+  /// fails instead of running with the defaults.
+  void require_declared(std::initializer_list<std::string_view> declared) const;
 
   bool has(const std::string& name) const;
   std::string get_string(const std::string& name, std::string fallback) const;
@@ -42,6 +50,7 @@ class Cli {
 
  private:
   std::map<std::string, std::string> options_;
+  std::vector<std::string> names_;  ///< option names in command-line order
   std::vector<std::string> positional_;
 };
 

@@ -92,4 +92,14 @@ ParallelForStats parallel_for_indexed(std::size_t n,
                                       const std::function<void(std::size_t)>& fn,
                                       std::size_t threads);
 
+/// parallel_for_indexed over `chunks` for a callable of any size: the
+/// one-reference capture fits std::function's local buffer, so a sweep
+/// allocates nothing (the partitioned transient and the grouped sparse LU
+/// run several per Newton iteration).
+template <typename Fn>
+void sweep(std::size_t chunks, std::size_t threads, const Fn& fn) {
+  parallel_for_indexed(
+      chunks, [&fn](std::size_t chunk) { fn(chunk); }, threads);
+}
+
 }  // namespace samurai::util

@@ -158,6 +158,22 @@ TEST(Cli, BadNumberThrows) {
   }
 }
 
+TEST(Cli, RequireDeclaredNamesTheFirstUnknownOption) {
+  const char* argv[] = {"prog", "--reps", "3", "--activity=schur", "--quick",
+                        "--zeta", "1"};
+  Cli cli(7, argv);
+  EXPECT_NO_THROW(
+      cli.require_declared({"quick", "reps", "activity", "zeta"}));
+  try {
+    cli.require_declared({"quick", "reps"});
+    ADD_FAILURE() << "an undeclared option must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown option --activity");
+  }
+  const char* bare[] = {"prog", "positional"};
+  EXPECT_NO_THROW(Cli(2, bare).require_declared({}));
+}
+
 TEST(Cli, CountRejectsNonPositiveValues) {
   const char* argv[] = {"prog", "--reps=0", "--passes=-3", "--ok=2"};
   Cli cli(4, argv);
