@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "sram/coupled.hpp"
 #include "sram/methodology.hpp"
@@ -43,12 +44,22 @@ double timed_ms(F&& f) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   sram::MethodologyConfig config;
-  config.tech = physics::technology(cli.get_string("node", "90nm"));
-  config.tech.v_dd = cli.get_double("vdd", 0.9);
-  config.sizing.extra_node_cap = cli.get_double("node-cap", 40e-15);
-  config.timing.period = cli.get_double("period", 1e-9);
+  try {
+    cli.require_declared({"node", "vdd", "node-cap", "period", "scale"});
+    config.tech = physics::technology(cli.get_string("node", "90nm"));
+    config.tech.v_dd = cli.get_double("vdd", 0.9);
+    config.sizing.extra_node_cap = cli.get_double("node-cap", 40e-15);
+    config.timing.period = cli.get_double("period", 1e-9);
+    config.rtn_scale = cli.get_double("scale", 30.0);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr,
+                 "bench_ext_coupled: %s\n"
+                 "usage: bench_ext_coupled [--node N] [--vdd V] "
+                 "[--node-cap F] [--period S] [--scale X]\n",
+                 err.what());
+    return 2;
+  }
   config.ops = sram::ops_from_bits({1, 1, 0, 1, 0});
-  config.rtn_scale = cli.get_double("scale", 30.0);
 
   std::printf("=== Extension 1: staged vs bi-directionally coupled RTN ===\n");
   std::printf("%s, pattern 11010, RTN x%.0f\n\n", config.tech.name.c_str(),

@@ -4,8 +4,11 @@
 //
 //   ./write_error_analysis [--node 90nm] [--bits 110101001] [--scale 30]
 //                          [--seed 2024] [--coupled]
+//
+// An unknown option exits 2 with usage naming it.
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "sram/coupled.hpp"
@@ -55,15 +58,28 @@ void print_report(const char* title, const sram::PatternReport& report) {
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   sram::MethodologyConfig config;
-  config.tech = physics::technology(cli.get_string("node", "90nm"));
-  // Default to the margin regime the paper targets: reduced supply and a
-  // bitline-loaded storage node (see DESIGN.md) so RTN has visible bite.
-  config.tech.v_dd = cli.get_double("vdd", 0.9);
-  config.sizing.extra_node_cap = cli.get_double("node-cap", 40e-15);
-  config.timing.period = cli.get_double("period", 1e-9);
-  config.ops = sram::ops_from_bits(parse_bits(cli.get_string("bits", "110101001")));
-  config.seed = cli.get_seed("seed", 2024);
-  config.rtn_scale = cli.get_double("scale", 30.0);
+  try {
+    cli.require_declared({"node", "vdd", "node-cap", "period", "bits", "seed",
+                          "scale", "coupled"});
+    config.tech = physics::technology(cli.get_string("node", "90nm"));
+    // Default to the margin regime the paper targets: reduced supply and a
+    // bitline-loaded storage node (see DESIGN.md) so RTN has visible bite.
+    config.tech.v_dd = cli.get_double("vdd", 0.9);
+    config.sizing.extra_node_cap = cli.get_double("node-cap", 40e-15);
+    config.timing.period = cli.get_double("period", 1e-9);
+    config.ops =
+        sram::ops_from_bits(parse_bits(cli.get_string("bits", "110101001")));
+    config.seed = cli.get_seed("seed", 2024);
+    config.rtn_scale = cli.get_double("scale", 30.0);
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr,
+                 "write_error_analysis: %s\n"
+                 "usage: write_error_analysis [--node N] [--vdd V] "
+                 "[--node-cap F] [--period S] [--bits 0101..] [--seed N] "
+                 "[--scale X] [--coupled]\n",
+                 err.what());
+    return 2;
+  }
 
   std::printf("SRAM write-error analysis — %s, %zu ops, RTN x%.0f, seed %llu\n\n",
               config.tech.name.c_str(), config.ops.size(), config.rtn_scale,

@@ -13,11 +13,12 @@
 // --scale, --sigma-vt, --shift, --rtn-seeds, --v-lo, --v-hi,
 // --resolution, --nominal-only, --slow-as-fail, --name, --rows, --cols).
 // --rows/--cols pin the array-yield cell population to an R×C footprint;
-// non-positive values are rejected with usage (exit 2). A negative value
-// for any count flag is an error naming the flag, before anything is
-// written. --batch K > 1 runs nominal-only importance samples through
-// the lock-step batched transient engine, K lanes at a time (requires
-// --nominal-only). With --dir, `run` is `init` plus
+// non-positive values are rejected with usage (exit 2). So is any option
+// no subcommand reads, such as a typo or the retired --activity. A
+// negative value for any count flag is an error naming the flag, before
+// anything is written. --batch K > 1 runs nominal-only importance samples
+// through the lock-step batched transient engine, K lanes at a time
+// (requires --nominal-only). With --dir, `run` is `init` plus
 // `resume`, and `resume` is one in-process worker plus one coordinator
 // tick, so it shares the directory's shards with any `work` processes;
 // without --dir the campaign runs in memory (no checkpoint, no resume).
@@ -33,6 +34,8 @@
 #include <cstdio>
 #include <exception>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "campaign/checkpoint.hpp"
@@ -109,6 +112,23 @@ campaign::Manifest manifest_from_flags(const util::Cli& cli) {
   return manifest;
 }
 
+/// The manifest `run` and `init` start from: --manifest FILE, or the
+/// flags, validated. A bad one is reported and comes back empty.
+std::optional<campaign::Manifest> load_manifest(const util::Cli& cli) {
+  try {
+    campaign::Manifest manifest =
+        cli.has("manifest")
+            ? campaign::Manifest::from_json(
+                  campaign::read_file(cli.get_string("manifest", "")))
+            : manifest_from_flags(cli);
+    manifest.validate();
+    return manifest;
+  } catch (const std::invalid_argument& error) {
+    std::fprintf(stderr, "samurai_campaign: %s\n", error.what());
+    return std::nullopt;
+  }
+}
+
 void print_summary(const campaign::CampaignResult& result) {
   std::printf(
       "campaign '%s' (%s): %s — %llu/%llu samples in %llu shards, "
@@ -142,6 +162,20 @@ void print_summary(const campaign::CampaignResult& result) {
 int main(int argc, char** argv) {
   try {
     const util::Cli cli(argc, argv);
+    try {
+      // Every option some subcommand reads; any other is an error.
+      cli.require_declared(
+          {"dir", "max-shards", "quiet", "manifest", "kind", "name", "seed",
+           "samples", "shard", "batch", "threads", "target-rhw",
+           "confidence-z", "min-samples", "node", "vdd", "bits", "scale",
+           "node-cap", "period", "sigma-vt", "shift", "shift-m1", "shift-m2",
+           "shift-m3", "shift-m4", "shift-m5", "shift-m6", "slow-as-fail",
+           "nominal-only", "v-lo", "v-hi", "resolution", "rtn-seeds", "rows",
+           "cols", "worker-id", "lease-ttl", "poll", "max-seconds", "watch"});
+    } catch (const std::invalid_argument& error) {
+      std::fprintf(stderr, "samurai_campaign: %s\n", error.what());
+      return usage();
+    }
     if (cli.positional().empty()) return usage();
     const std::string command = cli.positional().front();
     const std::string dir = cli.get_string("dir", "");
@@ -152,24 +186,13 @@ int main(int argc, char** argv) {
     options.progress = cli.has("quiet") ? nullptr : &std::cerr;
 
     if (command == "run") {
-      campaign::Manifest manifest;
-      try {
-        if (cli.has("manifest")) {
-          manifest = campaign::Manifest::from_json(
-              campaign::read_file(cli.get_string("manifest", "")));
-        } else {
-          manifest = manifest_from_flags(cli);
-        }
-        manifest.validate();
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "samurai_campaign: %s\n", error.what());
-        return usage();
-      }
+      const auto manifest = load_manifest(cli);
+      if (!manifest) return usage();
       if (dir.empty()) {
         std::fprintf(stderr, "samurai_campaign: no --dir given; running "
                              "without checkpoints (resume unavailable)\n");
       }
-      print_summary(campaign::run_campaign(manifest, options));
+      print_summary(campaign::run_campaign(*manifest, options));
       return 0;
     }
     if (command == "resume") {
@@ -184,21 +207,10 @@ int main(int argc, char** argv) {
     }
     if (command == "init") {
       if (dir.empty()) return usage();
-      campaign::Manifest manifest;
-      try {
-        if (cli.has("manifest")) {
-          manifest = campaign::Manifest::from_json(
-              campaign::read_file(cli.get_string("manifest", "")));
-        } else {
-          manifest = manifest_from_flags(cli);
-        }
-        manifest.validate();
-      } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "samurai_campaign: %s\n", error.what());
-        return usage();
-      }
-      campaign::Checkpoint(dir).init(manifest);
-      std::printf("%s\n", manifest.to_json().c_str());
+      const auto manifest = load_manifest(cli);
+      if (!manifest) return usage();
+      campaign::Checkpoint(dir).init(*manifest);
+      std::printf("%s\n", manifest->to_json().c_str());
       return 0;
     }
     if (command == "work") {

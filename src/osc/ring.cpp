@@ -62,19 +62,17 @@ RingBuild build_ring(spice::Circuit& circuit, const RingConfig& config) {
     build.stage_nodes.push_back(stage_node(s));
   }
   const double load =
-      config.load_cap > 0.0
-          ? config.load_cap
-          : 2.0 * config.tech.c_ox() * config.tech.w_min * config.tech.l_min;
+      2.0 * config.tech.c_ox() * config.tech.w_min * config.tech.l_min;
   for (std::size_t s = 0; s < config.stages; ++s) {
     const int in = circuit.node(build.stage_nodes[(s + config.stages - 1) %
                                                   config.stages]);
     const int out = circuit.node(build.stage_nodes[s]);
     physics::MosDevice nmos(
         config.tech, physics::MosType::kNmos,
-        {config.width_mult_n * config.tech.w_min, config.tech.l_min});
+        {kRingWidthMultN * config.tech.w_min, config.tech.l_min});
     physics::MosDevice pmos(
         config.tech, physics::MosType::kPmos,
-        {config.width_mult_p * config.tech.w_min, config.tech.l_min});
+        {kRingWidthMultP * config.tech.w_min, config.tech.l_min});
     circuit.add<spice::Mosfet>("MN" + std::to_string(s), out, in,
                                spice::kGround, spice::kGround, std::move(nmos));
     circuit.add<spice::Mosfet>("MP" + std::to_string(s), out, in, vdd, vdd,

@@ -16,13 +16,15 @@
 
 namespace samurai::osc {
 
+/// Inverter widths of every stage, × w_min. Each stage output also
+/// carries a load of 2 C_ox·w_min·l_min.
+inline constexpr double kRingWidthMultN = 2.0;
+inline constexpr double kRingWidthMultP = 4.0;
+
 struct RingConfig {
   physics::Technology tech;
   std::size_t stages = 5;     ///< odd, 3..10001
-  double width_mult_n = 2.0;  ///< NMOS width, × w_min
-  double width_mult_p = 4.0;  ///< PMOS width, × w_min
   double t_stop = 0.0;        ///< 0 = auto (enough for ~40 periods)
-  double load_cap = 0.0;      ///< extra per-stage load, F (0 = auto)
 };
 
 struct RingBuild {

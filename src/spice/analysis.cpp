@@ -863,16 +863,15 @@ DcResult NewtonDriver::dc(NewtonWorkspace& ws, Circuit& circuit,
       if (node >= 0) result.x[static_cast<std::size_t>(node)] = value;
     }
     solve(ws, result.x, 0.0, 0.0, 0.0, options.newton,
-          std::max(options.gmin, 1e-9), pins);
+          std::max(kGmin, 1e-9), pins);
   }
 
   // Phase 2: plain Newton; on failure, gmin-step from 1e-2 down.
-  auto outcome = solve(ws, result.x, 0.0, 0.0, 0.0, options.newton,
-                       options.gmin, {});
+  auto outcome = solve(ws, result.x, 0.0, 0.0, 0.0, options.newton, kGmin, {});
   if (!outcome.converged) {
     std::vector<double> x = result.x;
     bool ladder_ok = true;
-    for (double gmin = 1e-2; gmin >= options.gmin; gmin *= 0.1) {
+    for (double gmin = 1e-2; gmin >= kGmin; gmin *= 0.1) {
       const auto step =
           solve(ws, x, 0.0, 0.0, 0.0, options.newton, gmin, pins);
       if (!step.converged) {
@@ -881,7 +880,7 @@ DcResult NewtonDriver::dc(NewtonWorkspace& ws, Circuit& circuit,
       }
     }
     if (ladder_ok) {
-      outcome = solve(ws, x, 0.0, 0.0, 0.0, options.newton, options.gmin, {});
+      outcome = solve(ws, x, 0.0, 0.0, 0.0, options.newton, kGmin, {});
       if (outcome.converged) result.x = x;
     }
   }
@@ -894,7 +893,7 @@ DcResult NewtonDriver::dc(NewtonWorkspace& ws, Circuit& circuit,
 
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options) {
   NewtonWorkspace workspace;
-  workspace.attach(circuit, options.solver);
+  workspace.attach(circuit, SolverKind::kAuto);
   DcResult result = detail::NewtonDriver::dc(workspace, circuit, options);
   result.stats = workspace.stats();
   detail::solver_stats_accumulate(result.stats);
@@ -1080,7 +1079,7 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
         }
       }
       const auto outcome = solve(ws, x_new, gs.t_next, a0, ci, options.newton,
-                                 options.dc.gmin, {});
+                                 kGmin, {});
       if (!outcome.converged) {
         throw std::runtime_error(
             "transient: Newton did not converge on the fixed grid at t=" +
@@ -1155,7 +1154,7 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
     }
 
     const auto outcome = detail::NewtonDriver::solve(
-        ws, x_new, t + step, a0, ci, options.newton, options.dc.gmin, {});
+        ws, x_new, t + step, a0, ci, options.newton, kGmin, {});
     bool accept = outcome.converged;
     double err_ratio = 0.0;
     if (accept && have_predictor) {

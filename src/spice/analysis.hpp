@@ -339,16 +339,16 @@ struct NewtonOptions {
   bool cache_linear_stamps = true;
 };
 
+/// Conductance from every node to ground, S, in every DC solve and
+/// transient step; the DC solve's gmin-stepping ladder ends here.
+inline constexpr double kGmin = 1e-12;
+
 struct DcOptions {
   NewtonOptions newton;
   /// Initial-guess pins: solved first with a 1 S conductance tying each
   /// node to its value, then released (SPICE .NODESET). This is how the
   /// SRAM cell is placed in a chosen bistable basin.
   std::map<std::string, double> nodeset;
-  double gmin = 1e-12;  ///< conductance from every node to ground
-  /// Linear-engine override for standalone DC solves (transients use
-  /// TransientOptions::solver for the whole run, including their DC).
-  SolverKind solver = SolverKind::kAuto;
 };
 
 struct DcResult {
@@ -358,6 +358,8 @@ struct DcResult {
   SolverStats stats;
 };
 
+/// Standalone DC operating point, on the linear engine kAuto picks for the
+/// circuit's size (a transient's initial DC uses TransientOptions::solver).
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options = {});
 
 enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };

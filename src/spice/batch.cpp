@@ -185,8 +185,7 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
           ws.x_new_[i] = ws.x_pred_[i];
         }
       }
-      prepare_base(ws, gs.t_next, a0, ci, options.newton, options.dc.gmin,
-                   kNoPins);
+      prepare_base(ws, gs.t_next, a0, ci, options.newton, kGmin, kNoPins);
       bw.prev_scaled_[k] = std::numeric_limits<double>::infinity();
     }
 

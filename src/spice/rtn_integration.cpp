@@ -15,44 +15,24 @@
 
 namespace samurai::spice {
 
-void extract_device_bias(const TransientResult& result, const Circuit& circuit,
-                         const Mosfet& mosfet, core::Pwl& v_gs,
-                         core::Pwl& i_d) {
-  auto samples_of = [&](int node) -> const std::vector<double>* {
-    if (node < 0) return nullptr;
-    return &result.voltage_samples(circuit.node_name(node));
-  };
-  const auto* vd = samples_of(mosfet.drain());
-  const auto* vg = samples_of(mosfet.gate());
-  const auto* vs = samples_of(mosfet.source());
-  const auto& times = result.times();
+ChannelBias channel_bias(const Mosfet& mosfet, double d, double g,
+                         double s) {
   const bool nmos = mosfet.model().type() == physics::MosType::kNmos;
-
-  std::vector<double> vgs_values(times.size());
-  std::vector<double> id_values(times.size());
-  for (std::size_t i = 0; i < times.size(); ++i) {
-    const double d = vd ? (*vd)[i] : 0.0;
-    const double g = vg ? (*vg)[i] : 0.0;
-    const double s = vs ? (*vs)[i] : 0.0;
-    // NMOS-equivalent trap bias referenced to the conducting source side.
-    vgs_values[i] = nmos ? g - std::min(d, s) : std::max(d, s) - g;
-    id_values[i] = mosfet.model().evaluate(g - s, d - s).i_d;  // signed
-  }
-  v_gs = core::Pwl(times, std::move(vgs_values));
-  i_d = core::Pwl(times, std::move(id_values));
+  return {nmos ? g - std::min(d, s) : std::max(d, s) - g,
+          mosfet.model().evaluate(g - s, d - s).i_d};
 }
 
-namespace {
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
+RequestTraps sample_request_traps(const RtnRequest& request,
+                                  const Mosfet& mosfet,
+                                  const physics::TrapProfileOptions& profile) {
+  const util::Rng rng(request.seed);
+  util::Rng profile_rng = rng.split(request.profile_stream);
+  return {physics::sample_trap_profile(mosfet.model().tech(),
+                                       mosfet.model().geometry(), profile_rng,
+                                       profile),
+          rng.split(request.trap_stream)};
 }
 
-/// Each request's MOSFET, resolved through one name index: Circuit::find
-/// is a linear scan, so per-request lookups would grow with the square of
-/// an array's size. The first device of a name wins, as in Circuit::find.
 std::vector<const Mosfet*> find_mosfets(
     const Circuit& circuit, const std::vector<RtnRequest>& requests) {
   std::unordered_map<std::string_view, const Device*> by_name;
@@ -74,6 +54,39 @@ std::vector<const Mosfet*> find_mosfets(
   return mosfets;
 }
 
+void extract_device_bias(const TransientResult& result, const Circuit& circuit,
+                         const Mosfet& mosfet, core::Pwl& v_gs,
+                         core::Pwl& i_d) {
+  auto samples_of = [&](int node) -> const std::vector<double>* {
+    if (node < 0) return nullptr;
+    return &result.voltage_samples(circuit.node_name(node));
+  };
+  const auto* vd = samples_of(mosfet.drain());
+  const auto* vg = samples_of(mosfet.gate());
+  const auto* vs = samples_of(mosfet.source());
+  const auto& times = result.times();
+
+  std::vector<double> vgs_values(times.size());
+  std::vector<double> id_values(times.size());
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    const ChannelBias bias = channel_bias(mosfet, vd ? (*vd)[i] : 0.0,
+                                          vg ? (*vg)[i] : 0.0,
+                                          vs ? (*vs)[i] : 0.0);
+    vgs_values[i] = bias.v_gs;
+    id_values[i] = bias.i_d;
+  }
+  v_gs = core::Pwl(times, std::move(vgs_values));
+  i_d = core::Pwl(times, std::move(id_values));
+}
+
+namespace {
+
+double now_seconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 /// The per-device step: trap profile, bias, Algorithm 1 and Eq. 3.
 DeviceRtnTrace generate_trace(const RtnRequest& request, const Mosfet& mosfet,
                               const TransientResult& nominal,
@@ -84,25 +97,23 @@ DeviceRtnTrace generate_trace(const RtnRequest& request, const Mosfet& mosfet,
   trace.device = request.device;
 
   const auto& tech = mosfet.model().tech();
-  const auto& geometry = mosfet.model().geometry();
   const physics::SrhModel srh(tech);
-  const util::Rng rng(request.seed);
-  util::Rng profile_rng = rng.split(request.profile_stream);
-  trace.traps =
-      physics::sample_trap_profile(tech, geometry, profile_rng, pipeline.profile);
+  auto [traps, chain_rng] =
+      sample_request_traps(request, mosfet, pipeline.profile);
+  trace.traps = std::move(traps);
 
   core::Pwl v_gs, i_d;
   extract_device_bias(nominal, circuit, mosfet, v_gs, i_d);
   // Trap statistics and Eq. 3 use an NMOS-equivalent device so the
   // extracted (positive-when-on) bias feeds both consistently.
-  const physics::MosDevice equivalent(tech, physics::MosType::kNmos, geometry);
+  const physics::MosDevice equivalent(tech, physics::MosType::kNmos,
+                                      mosfet.model().geometry());
   core::RtnGeneratorOptions gen = pipeline.generator;
   gen.t0 = options.t_start;
   gen.tf = options.t_stop;
   gen.amplitude_scale = request.scale;
-  util::Rng trap_rng = rng.split(request.trap_stream);
   auto device_rtn = core::generate_device_rtn(srh, equivalent, trace.traps,
-                                              v_gs, i_d, trap_rng, gen);
+                                              v_gs, i_d, chain_rng, gen);
   trace.n_filled = std::move(device_rtn.n_filled);
   trace.i_rtn = std::move(device_rtn.i_rtn);
   trace.stats = device_rtn.stats;

@@ -9,7 +9,9 @@
 // time-varying bias, sample a trap profile, run Algorithm 1, and re-run
 // the transient with the I_RTN traces injected opposing each channel
 // current. What differs between callers is plain data — the requests and
-// RtnPipelineOptions (DESIGN.md §17).
+// RtnPipelineOptions (DESIGN.md §17). The coupled engine (sram/coupled.cpp)
+// runs the same requests through the per-request pieces declared here:
+// device lookup, trap sampling and channel bias.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +27,7 @@
 #include "spice/analysis.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices.hpp"
+#include "util/rng.hpp"
 
 namespace samurai::spice {
 
@@ -52,9 +55,37 @@ struct RtnPipelineOptions {
   bool keep_bias = false;
 };
 
-/// Extract a MOSFET's NMOS-equivalent gate bias V_gs(t) (positive when
-/// the channel conducts) and signed channel current I_d(t) from a
-/// transient solution: the bias step of run_rtn_transient.
+/// A MOSFET's bias as its traps see it, at drain, gate and source
+/// voltages d, g, s.
+struct ChannelBias {
+  /// NMOS-equivalent gate bias referenced to the conducting source side:
+  /// g − min(d, s) for an NMOS, max(d, s) − g for a PMOS, positive when
+  /// the channel conducts.
+  double v_gs = 0.0;
+  double i_d = 0.0;  ///< signed channel current from the device's model
+};
+ChannelBias channel_bias(const Mosfet& mosfet, double d, double g, double s);
+
+/// A request's traps on `mosfet` and the root of their chain streams: the
+/// profile draws from Rng(seed).split(profile_stream), and trap i's chain
+/// from chain_rng.split(i + 1), chain_rng = Rng(seed).split(trap_stream).
+struct RequestTraps {
+  std::vector<physics::Trap> traps;
+  util::Rng chain_rng;
+};
+RequestTraps sample_request_traps(const RtnRequest& request,
+                                  const Mosfet& mosfet,
+                                  const physics::TrapProfileOptions& profile);
+
+/// Each request's MOSFET in `circuit`, resolved through one name index
+/// (Circuit::find is a linear scan). The first device of a name wins, as
+/// in Circuit::find; a name that is no MOSFET throws
+/// std::invalid_argument.
+std::vector<const Mosfet*> find_mosfets(
+    const Circuit& circuit, const std::vector<RtnRequest>& requests);
+
+/// Extract a MOSFET's channel_bias V_gs(t) and I_d(t) from a transient
+/// solution: the bias step of run_rtn_transient.
 void extract_device_bias(const TransientResult& result, const Circuit& circuit,
                          const Mosfet& mosfet, core::Pwl& v_gs, core::Pwl& i_d);
 

@@ -27,7 +27,6 @@ struct ArrayWaves {
 };
 
 ArrayWaves build_waves(const Array2dConfig& config) {
-  const auto& timing = config.timing;
   const double v_dd = config.tech.v_dd;
   ArrayWaves waves;
   waves.pcb.append(0.0, 0.0);  // precharging at t = 0
@@ -39,21 +38,21 @@ ArrayWaves build_waves(const Array2dConfig& config) {
   for (auto& wd : waves.wd1) wd.append(0.0, 0.0);
 
   for (std::size_t k = 0; k < config.ops.size(); ++k) {
-    const double start = static_cast<double>(k) * timing.period;
-    const double pre_end = start + timing.precharge_frac * timing.period;
-    const double wl_on = start + timing.wl_on_frac * timing.period;
-    const double wl_off = start + timing.wl_off_frac * timing.period;
+    const double start = static_cast<double>(k) * kSlotPeriod;
+    const double pre_end = start + kSlotPrechargeFrac * kSlotPeriod;
+    const double wl_on = start + kSlotWlOnFrac * kSlotPeriod;
+    const double wl_off = start + kSlotWlOffFrac * kSlotPeriod;
     const ArrayOp& op = config.ops[k];
 
-    drive_to(waves.pcb, start, timing.edge, 0.0);
-    drive_to(waves.pcb, pre_end, timing.edge, v_dd);
+    drive_to(waves.pcb, start, kSlotEdge, 0.0);
+    drive_to(waves.pcb, pre_end, kSlotEdge, v_dd);
 
     if (op.kind == ArrayOp::Kind::kNop) continue;
     if (op.row >= config.rows) {
       throw std::invalid_argument("build_array2d: op addresses missing row");
     }
-    drive_to(waves.wl[op.row], wl_on, timing.edge, v_dd);
-    drive_to(waves.wl[op.row], wl_off, timing.edge, 0.0);
+    drive_to(waves.wl[op.row], wl_on, kSlotEdge, v_dd);
+    drive_to(waves.wl[op.row], wl_off, kSlotEdge, 0.0);
     if (op.kind == ArrayOp::Kind::kWrite) {
       if (op.bits.size() != config.cols) {
         throw std::invalid_argument(
@@ -61,8 +60,8 @@ ArrayWaves build_waves(const Array2dConfig& config) {
       }
       for (std::size_t c = 0; c < config.cols; ++c) {
         core::Pwl& driver = op.bits[c] ? waves.wd1[c] : waves.wd0[c];
-        drive_to(driver, pre_end + timing.edge, timing.edge, v_dd);
-        drive_to(driver, wl_off + 2.0 * timing.edge, timing.edge, 0.0);
+        drive_to(driver, pre_end + kSlotEdge, kSlotEdge, v_dd);
+        drive_to(driver, wl_off + 2.0 * kSlotEdge, kSlotEdge, 0.0);
       }
     }
   }
@@ -104,9 +103,9 @@ Array2dBuild build_array2d(spice::Circuit& circuit,
   circuit.add<spice::VoltageSource>(circuit, "Vpcb", pcb, spice::kGround,
                                     waves.pcb);
   const physics::MosGeometry pre_geom{
-      config.precharge_width_mult * config.tech.w_min, config.tech.l_min};
+      kPrechargeWidthMult * config.tech.w_min, config.tech.l_min};
   const physics::MosGeometry driver_geom{
-      config.driver_width_mult * config.tech.w_min, config.tech.l_min};
+      kDriverWidthMult * config.tech.w_min, config.tech.l_min};
   std::vector<int> bl_rail(config.cols), blb_rail(config.cols);
   for (std::size_t c = 0; c < config.cols; ++c) {
     const std::string suffix = std::to_string(c);
@@ -176,7 +175,6 @@ Array2dReport check_array2d(const spice::TransientResult& result,
   const double v_dd = config.tech.v_dd;
   report.min_sense_margin = v_dd;
   report.column_worst_margin.assign(config.cols, v_dd);
-  const auto& timing = config.timing;
 
   std::vector<int> stored(config.rows * config.cols);
   for (std::size_t r = 0; r < config.rows; ++r) {
@@ -192,7 +190,7 @@ Array2dReport check_array2d(const spice::TransientResult& result,
 
   for (std::size_t k = 0; k < config.ops.size(); ++k) {
     const ArrayOp& op = config.ops[k];
-    const double slot_end = (static_cast<double>(k) + 0.999) * timing.period;
+    const double slot_end = (static_cast<double>(k) + 0.999) * kSlotPeriod;
     if (op.kind == ArrayOp::Kind::kWrite) {
       for (std::size_t c = 0; c < config.cols; ++c) {
         const std::size_t flat = op.row * config.cols + c;
@@ -207,7 +205,7 @@ Array2dReport check_array2d(const spice::TransientResult& result,
       }
     } else if (op.kind == ArrayOp::Kind::kRead) {
       const double t_sense =
-          (static_cast<double>(k) + timing.sense_frac) * timing.period;
+          (static_cast<double>(k) + kSlotSenseFrac) * kSlotPeriod;
       for (std::size_t c = 0; c < config.cols; ++c) {
         const std::size_t flat = op.row * config.cols + c;
         ReadOutcome outcome;
@@ -238,9 +236,8 @@ spice::TransientOptions array2d_transient_options(
     const Array2dConfig& config) {
   spice::TransientOptions options;
   options.t_start = 0.0;
-  options.t_stop =
-      static_cast<double>(config.ops.size()) * config.timing.period;
-  options.dt_max = config.timing.period / 150.0;
+  options.t_stop = static_cast<double>(config.ops.size()) * kSlotPeriod;
+  options.dt_max = kSlotPeriod / 150.0;
   const double v_dd = config.tech.v_dd;
   options.dc.nodeset["vdd"] = v_dd;
   for (std::size_t c = 0; c < config.cols; ++c) {

@@ -44,9 +44,6 @@ struct Array2dConfig {
   std::size_t rows = 4;
   std::size_t cols = 4;
   double bitline_cap = 120e-15;   ///< per bitline, F
-  double driver_width_mult = 6.0;
-  double precharge_width_mult = 16.0;
-  ColumnTiming timing;            ///< slot timing, shared with the column
   std::vector<ArrayOp> ops;
   /// Initial stored value per cell, flat index row*cols + col; missing
   /// entries default to 0.

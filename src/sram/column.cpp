@@ -26,10 +26,9 @@ struct ColumnWaves {
 };
 
 ColumnWaves build_waves(const ColumnConfig& config) {
-  const auto& timing = config.timing;
   const double v_dd = config.tech.v_dd;
   ColumnWaves waves;
-  waves.t_end = static_cast<double>(config.ops.size()) * timing.period;
+  waves.t_end = static_cast<double>(config.ops.size()) * kSlotPeriod;
   waves.pcb.append(0.0, 0.0);  // precharging at t = 0
   waves.wd0.append(0.0, 0.0);
   waves.wd1.append(0.0, 0.0);
@@ -37,28 +36,28 @@ ColumnWaves build_waves(const ColumnConfig& config) {
   for (auto& wl : waves.wl) wl.append(0.0, 0.0);
 
   for (std::size_t k = 0; k < config.ops.size(); ++k) {
-    const double start = static_cast<double>(k) * timing.period;
-    const double pre_end = start + timing.precharge_frac * timing.period;
-    const double wl_on = start + timing.wl_on_frac * timing.period;
-    const double wl_off = start + timing.wl_off_frac * timing.period;
+    const double start = static_cast<double>(k) * kSlotPeriod;
+    const double pre_end = start + kSlotPrechargeFrac * kSlotPeriod;
+    const double wl_on = start + kSlotWlOnFrac * kSlotPeriod;
+    const double wl_off = start + kSlotWlOffFrac * kSlotPeriod;
     const ColumnOp& op = config.ops[k];
 
     // Precharge at the start of every slot, released before WL rises.
-    drive_to(waves.pcb, start, timing.edge, 0.0);
-    drive_to(waves.pcb, pre_end, timing.edge, v_dd);
+    drive_to(waves.pcb, start, kSlotEdge, 0.0);
+    drive_to(waves.pcb, pre_end, kSlotEdge, v_dd);
 
     if (op.kind == ColumnOp::Kind::kNop) continue;
     if (op.cell >= config.num_cells) {
       throw std::invalid_argument("build_column: op addresses missing cell");
     }
-    drive_to(waves.wl[op.cell], wl_on, timing.edge, v_dd);
-    drive_to(waves.wl[op.cell], wl_off, timing.edge, 0.0);
+    drive_to(waves.wl[op.cell], wl_on, kSlotEdge, v_dd);
+    drive_to(waves.wl[op.cell], wl_off, kSlotEdge, 0.0);
     if (op.kind == ColumnOp::Kind::kWrite) {
       // Pull the bitline opposite the written value low slightly before
       // WL rises, release after WL falls.
       core::Pwl& driver = op.bit ? waves.wd1 : waves.wd0;
-      drive_to(driver, pre_end + timing.edge, timing.edge, v_dd);
-      drive_to(driver, wl_off + 2.0 * timing.edge, timing.edge, 0.0);
+      drive_to(driver, pre_end + kSlotEdge, kSlotEdge, v_dd);
+      drive_to(driver, wl_off + 2.0 * kSlotEdge, kSlotEdge, 0.0);
     }
   }
   return waves;
@@ -109,7 +108,7 @@ ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config) {
   circuit.add<spice::VoltageSource>(circuit, "Vpcb", pcb, spice::kGround,
                                     waves.pcb);
   const physics::MosGeometry pre_geom{
-      config.precharge_width_mult * config.tech.w_min, config.tech.l_min};
+      kPrechargeWidthMult * config.tech.w_min, config.tech.l_min};
   circuit.add<spice::Mosfet>("MPC0", bl, pcb, vdd, vdd,
                              physics::MosDevice(config.tech,
                                                 physics::MosType::kPmos,
@@ -131,7 +130,7 @@ ColumnBuild build_column(spice::Circuit& circuit, const ColumnConfig& config) {
   circuit.add<spice::VoltageSource>(circuit, "Vwd1", wd1, spice::kGround,
                                     waves.wd1);
   const physics::MosGeometry driver_geom{
-      config.driver_width_mult * config.tech.w_min, config.tech.l_min};
+      kDriverWidthMult * config.tech.w_min, config.tech.l_min};
   circuit.add<spice::Mosfet>("MWD0", bl, wd0, spice::kGround, spice::kGround,
                              physics::MosDevice(config.tech,
                                                 physics::MosType::kNmos,
@@ -149,7 +148,6 @@ ColumnReport check_column(const spice::TransientResult& result,
   ColumnReport report;
   report.min_sense_margin = config.tech.v_dd;
   const double v_dd = config.tech.v_dd;
-  const auto& timing = config.timing;
 
   std::vector<int> stored = config.initial_bits;
   stored.resize(config.num_cells, 0);
@@ -161,8 +159,7 @@ ColumnReport check_column(const spice::TransientResult& result,
 
   for (std::size_t k = 0; k < config.ops.size(); ++k) {
     const ColumnOp& op = config.ops[k];
-    const double slot_end =
-        (static_cast<double>(k) + 0.999) * timing.period;
+    const double slot_end = (static_cast<double>(k) + 0.999) * kSlotPeriod;
     if (op.kind == ColumnOp::Kind::kWrite) {
       WriteOutcome outcome;
       outcome.slot = k;
@@ -178,7 +175,7 @@ ColumnReport check_column(const spice::TransientResult& result,
       outcome.cell = op.cell;
       outcome.expected = stored[op.cell];
       const double t_sense =
-          (static_cast<double>(k) + timing.sense_frac) * timing.period;
+          (static_cast<double>(k) + kSlotSenseFrac) * kSlotPeriod;
       const double diff = result.voltage_at(build.bl, t_sense) -
                           result.voltage_at(build.blb, t_sense);
       // Stored 1 -> QB = 0 discharges BLB -> positive differential.
@@ -200,9 +197,8 @@ ColumnReport check_column(const spice::TransientResult& result,
 spice::TransientOptions column_transient_options(const ColumnConfig& config) {
   spice::TransientOptions options;
   options.t_start = 0.0;
-  options.t_stop = static_cast<double>(config.ops.size()) *
-                   config.timing.period;
-  options.dt_max = config.timing.period / 150.0;
+  options.t_stop = static_cast<double>(config.ops.size()) * kSlotPeriod;
+  options.dt_max = kSlotPeriod / 150.0;
   const double v_dd = config.tech.v_dd;
   options.dc.nodeset["bl"] = v_dd;
   options.dc.nodeset["blb"] = v_dd;

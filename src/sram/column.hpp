@@ -35,26 +35,29 @@ struct ColumnOp {
   static ColumnOp nop() { return {}; }
 };
 
-struct ColumnTiming {
-  double period = 1e-9;
-  double edge = 50e-12;
-  double precharge_frac = 0.25;  ///< precharge window at the slot start
-  double wl_on_frac = 0.32;      ///< WL rises here
-  double wl_off_frac = 0.80;     ///< WL falls here
-  /// Read sense instant: shortly after WL rises, while the differential
-  /// is still a few hundred mV (sensing a fully railed bitline would hide
-  /// any RTN-induced discharge slowdown).
-  double sense_frac = 0.40;
-};
+/// Slot timing of every column and array op, shared by build_column,
+/// build_array2d and their checkers: one period per op, the precharge,
+/// wordline and read-sense instants at fixed fractions of it.
+inline constexpr double kSlotPeriod = 1e-9;
+inline constexpr double kSlotEdge = 50e-12;
+/// Precharge window at the slot start.
+inline constexpr double kSlotPrechargeFrac = 0.25;
+inline constexpr double kSlotWlOnFrac = 0.32;   ///< WL rises here
+inline constexpr double kSlotWlOffFrac = 0.80;  ///< WL falls here
+/// Read sense instant: shortly after WL rises, while the differential
+/// is still a few hundred mV (sensing a fully railed bitline would hide
+/// any RTN-induced discharge slowdown).
+inline constexpr double kSlotSenseFrac = 0.40;
+
+/// Periphery widths of the column and the array, × w_min.
+inline constexpr double kDriverWidthMult = 6.0;      ///< write-driver NMOS
+inline constexpr double kPrechargeWidthMult = 16.0;  ///< precharge PMOS
 
 struct ColumnConfig {
   physics::Technology tech;
   CellSizing sizing;
   std::size_t num_cells = 4;
   double bitline_cap = 120e-15;  ///< per bitline, F (a tall column)
-  double driver_width_mult = 6.0;///< write-driver NMOS width, x w_min
-  double precharge_width_mult = 16.0;
-  ColumnTiming timing;
   std::vector<ColumnOp> ops;
   /// Initial stored value per cell (nodeset).
   std::vector<int> initial_bits;

@@ -1,12 +1,10 @@
 #include "sram/coupled.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <memory>
 
 #include "core/rtn_generator.hpp"
 #include "physics/srh_model.hpp"
-#include "util/rng.hpp"
+#include "spice/rtn_integration.hpp"
 
 namespace samurai::sram {
 
@@ -20,14 +18,18 @@ struct LiveTrap {
   std::vector<double> switch_times;
 };
 
-/// Live state of one transistor: its traps, terminal node ids and the
-/// current injection value read by the callback source.
-struct LiveTransistor {
-  std::string name;
+/// Live state of one requested device: its traps, the models its step
+/// evaluates and the injection value read by its callback source.
+struct LiveDevice {
   const spice::Mosfet* mosfet = nullptr;
+  double scale = 1.0;  ///< the request's amplitude scale
+  physics::SrhModel srh;
+  physics::MosDevice equivalent;  ///< NMOS-equivalent device of Eq. 3
   std::vector<LiveTrap> traps;
   double injection = 0.0;  ///< amps, already sign-flipped to oppose I_d
 };
+
+using LiveDevices = std::vector<LiveDevice>;
 
 double node_voltage(std::span<const double> x, int id) {
   return id < 0 ? 0.0 : x[static_cast<std::size_t>(id)];
@@ -49,6 +51,72 @@ void advance_trap(LiveTrap& live, const physics::Propensities& p, double t0,
   }
 }
 
+/// The coupled engine. Draws each request's traps and chain streams as
+/// run_rtn_transient does, adds one Irtn_<device> callback source per
+/// injected request (in request order), runs `circuit` advancing every
+/// device's chains after each accepted step at its instantaneous bias, and
+/// returns the live devices. Each step's injection opposes the device's
+/// signed channel current. The callback sources share the devices, which
+/// stay alive as long as `circuit` does.
+std::shared_ptr<LiveDevices> run_live(
+    spice::Circuit& circuit, spice::TransientOptions options,
+    const std::vector<spice::RtnRequest>& requests,
+    const physics::TrapProfileOptions& profile,
+    spice::TransientResult& transient) {
+  const auto mosfets = spice::find_mosfets(circuit, requests);
+  auto live = std::make_shared<LiveDevices>();
+  live->reserve(requests.size());
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    auto [traps, chain_rng] =
+        spice::sample_request_traps(requests[k], *mosfets[k], profile);
+    std::vector<LiveTrap> live_traps;
+    live_traps.reserve(traps.size());
+    for (std::size_t i = 0; i < traps.size(); ++i) {
+      live_traps.push_back(
+          {traps[i], traps[i].init_state, chain_rng.split(i + 1), {}});
+    }
+    const auto& model = mosfets[k]->model();
+    live->push_back({mosfets[k], requests[k].scale,
+                     physics::SrhModel(model.tech()),
+                     physics::MosDevice(model.tech(), physics::MosType::kNmos,
+                                        model.geometry()),
+                     std::move(live_traps)});
+  }
+
+  for (std::size_t k = 0; k < live->size(); ++k) {
+    if (!requests[k].inject) continue;
+    circuit.add<spice::CallbackCurrentSource>(
+        "Irtn_" + requests[k].device, mosfets[k]->drain(),
+        mosfets[k]->source(),
+        [live, k](double) { return (*live)[k].injection; });
+  }
+
+  double prev_t = options.t_start;
+  options.on_step = [&prev_t, live](double t, std::span<const double> x) {
+    for (auto& device : *live) {
+      const auto* fet = device.mosfet;
+      const spice::ChannelBias bias = spice::channel_bias(
+          *fet, node_voltage(x, fet->drain()), node_voltage(x, fet->gate()),
+          node_voltage(x, fet->source()));
+      std::size_t filled = 0;
+      for (auto& live_trap : device.traps) {
+        const auto p = device.srh.propensities(live_trap.trap, bias.v_gs);
+        advance_trap(live_trap, p, prev_t, t);
+        if (live_trap.state == physics::TrapState::kFilled) ++filled;
+      }
+      const double amp =
+          core::rtn_amplitude(device.equivalent, bias.v_gs, bias.i_d);
+      // Oppose the signed channel current.
+      const double sign = bias.i_d >= 0.0 ? 1.0 : -1.0;
+      device.injection = -device.scale * sign * amp *
+                         static_cast<double>(filled);
+    }
+    prev_t = t;
+  };
+  transient = spice::transient(circuit, options);
+  return live;
+}
+
 }  // namespace
 
 CoupledResult run_coupled(const MethodologyConfig& config) {
@@ -56,109 +124,33 @@ CoupledResult run_coupled(const MethodologyConfig& config) {
   result.pattern = build_pattern(config.ops, config.tech.v_dd, config.timing);
 
   spice::Circuit circuit;
-  SramCellHandles handles =
+  const SramCellHandles handles =
       build_6t_cell(circuit, config.tech, config.sizing, "", config.vth_shifts);
-  circuit.add<spice::VoltageSource>(circuit, "Vdd",
-                                    circuit.find_node(handles.vdd),
-                                    spice::kGround,
-                                    core::Pwl::constant(config.tech.v_dd));
-  circuit.add<spice::VoltageSource>(circuit, "Vwl", circuit.find_node(handles.wl),
-                                    spice::kGround, result.pattern.wl);
-  circuit.add<spice::VoltageSource>(circuit, "Vbl", circuit.find_node(handles.bl),
-                                    spice::kGround, result.pattern.bl);
-  circuit.add<spice::VoltageSource>(circuit, "Vblb",
-                                    circuit.find_node(handles.blb),
-                                    spice::kGround, result.pattern.blb);
+  attach_sources(circuit, handles, result.pattern, config.tech.v_dd, "");
   result.q_node = handles.q;
   result.qb_node = handles.qb;
 
-  const physics::SrhModel srh(config.tech);
-  util::Rng rng(config.seed);
-
-  // Live transistors share ownership with the callback sources, which may
-  // be invoked during the transient after this function's locals would
-  // normally be gone — keep them on the heap for clarity.
-  auto live = std::make_shared<std::vector<LiveTransistor>>();
-  live->reserve(6);
-  for (int m = 1; m <= 6; ++m) {
-    LiveTransistor transistor;
-    transistor.name = "M" + std::to_string(m);
-    transistor.mosfet = handles.mosfet(m);
-    util::Rng profile_rng = rng.split(static_cast<std::uint64_t>(m) * 101);
-    const auto traps = physics::sample_trap_profile(
-        config.tech, transistor_geometry(config.tech, config.sizing, m),
-        profile_rng, config.profile);
-    transistor.traps.reserve(traps.size());
-    for (std::size_t i = 0; i < traps.size(); ++i) {
-      LiveTrap live_trap;
-      live_trap.trap = traps[i];
-      live_trap.state = traps[i].init_state;
-      live_trap.rng =
-          rng.split(static_cast<std::uint64_t>(m) * 977 + 13).split(i + 1);
-      transistor.traps.push_back(std::move(live_trap));
-    }
-    live->push_back(std::move(transistor));
+  auto options = make_transient_options(config, result.pattern, "");
+  if (config.transient.dt_max <= 0.0) {
+    options.dt_max = config.timing.period / 100.0;
   }
-
-  // Callback sources read the per-transistor injection value.
-  for (std::size_t i = 0; i < live->size(); ++i) {
-    auto& transistor = (*live)[i];
-    circuit.add<spice::CallbackCurrentSource>(
-        "Irtn_" + transistor.name, transistor.mosfet->drain(),
-        transistor.mosfet->source(),
-        [live, i](double) { return (*live)[i].injection; });
-  }
-
-  spice::TransientOptions options = config.transient;
-  options.t_start = 0.0;
-  options.t_stop = result.pattern.t_end;
-  if (options.dt_max <= 0.0) options.dt_max = config.timing.period / 100.0;
-  options.dc.nodeset[handles.q] = 0.0;
-  options.dc.nodeset[handles.qb] = config.tech.v_dd;
-  options.dc.nodeset[handles.vdd] = config.tech.v_dd;
-  options.dc.nodeset[handles.bl] = config.tech.v_dd;
-  options.dc.nodeset[handles.blb] = config.tech.v_dd;
-
-  double prev_t = 0.0;
-  options.on_step = [&, live](double t, std::span<const double> x) {
-    for (auto& transistor : *live) {
-      const auto* fet = transistor.mosfet;
-      const double vd = node_voltage(x, fet->drain());
-      const double vg = node_voltage(x, fet->gate());
-      const double vs = node_voltage(x, fet->source());
-      const bool nmos = fet->model().type() == physics::MosType::kNmos;
-      const double v_eff = nmos ? vg - std::min(vd, vs) : std::max(vd, vs) - vg;
-      std::size_t filled = 0;
-      for (auto& live_trap : transistor.traps) {
-        const auto p = srh.propensities(live_trap.trap, v_eff);
-        advance_trap(live_trap, p, prev_t, t);
-        if (live_trap.state == physics::TrapState::kFilled) ++filled;
-      }
-      const double i_d = fet->model().evaluate(vg - vs, vd - vs).i_d;
-      const physics::MosDevice equivalent(config.tech, physics::MosType::kNmos,
-                                          fet->model().geometry());
-      const double amp = core::rtn_amplitude(equivalent, v_eff, i_d);
-      // Oppose the nominal current direction.
-      const double sign = i_d >= 0.0 ? 1.0 : -1.0;
-      transistor.injection = -config.rtn_scale * sign * amp *
-                             static_cast<double>(filled);
-    }
-    prev_t = t;
-  };
-
-  result.transient = spice::transient(circuit, options);
+  const auto requests =
+      cell_rtn_requests(config.seed, config.rtn_scale, config.rtn_devices);
+  const auto live =
+      run_live(circuit, options, requests, config.profile, result.transient);
 
   DetectorOptions detector = config.detector;
   detector.v_dd = config.tech.v_dd;
   result.report = check_pattern(result.transient.voltage(handles.q),
                                 result.pattern, detector);
 
-  for (const auto& transistor : *live) {
-    result.transistor_names.push_back(transistor.name);
+  for (std::size_t k = 0; k < live->size(); ++k) {
+    const LiveDevice& device = (*live)[k];
+    result.transistor_names.push_back(requests[k].device);
     std::vector<core::TrapTrajectory> trajectories;
     std::vector<physics::Trap> traps;
-    trajectories.reserve(transistor.traps.size());
-    for (const auto& live_trap : transistor.traps) {
+    trajectories.reserve(device.traps.size());
+    for (const auto& live_trap : device.traps) {
       trajectories.emplace_back(0.0, result.pattern.t_end,
                                 live_trap.trap.init_state,
                                 live_trap.switch_times);
@@ -178,79 +170,24 @@ CoupledColumnResult run_coupled_column(
   spice::Circuit circuit;
   const ColumnBuild build = build_column(circuit, config);
 
-  const physics::SrhModel srh(config.tech);
-  util::Rng rng(seed);
-
-  // One live transistor per cell device, 6 N total, streams split per
-  // (cell, transistor) so adding cells never perturbs existing streams.
-  auto live = std::make_shared<std::vector<LiveTransistor>>();
-  live->reserve(6 * config.num_cells);
+  // Cell i's six requests run on streams offset by i·6007, so adding
+  // cells never perturbs existing streams.
+  std::vector<spice::RtnRequest> requests;
+  requests.reserve(6 * config.num_cells);
   for (std::size_t cell = 0; cell < config.num_cells; ++cell) {
-    for (int m = 1; m <= 6; ++m) {
-      LiveTransistor transistor;
-      transistor.name =
-          column_cell_prefix(cell) + "M" + std::to_string(m);
-      transistor.mosfet = build.cells[cell].mosfet(m);
-      util::Rng profile_rng =
-          rng.split(cell * 6007 + static_cast<std::uint64_t>(m) * 101);
-      const auto traps = physics::sample_trap_profile(
-          config.tech, transistor_geometry(config.tech, config.sizing, m),
-          profile_rng, profile);
-      transistor.traps.reserve(traps.size());
-      for (std::size_t i = 0; i < traps.size(); ++i) {
-        LiveTrap live_trap;
-        live_trap.trap = traps[i];
-        live_trap.state = traps[i].init_state;
-        live_trap.rng = rng.split(cell * 6007 +
-                                  static_cast<std::uint64_t>(m) * 977 + 13)
-                            .split(i + 1);
-        transistor.traps.push_back(std::move(live_trap));
-      }
-      result.num_traps += transistor.traps.size();
-      live->push_back(std::move(transistor));
+    for (auto& request : cell_rtn_requests(seed, rtn_scale, {},
+                                           column_cell_prefix(cell),
+                                           cell * 6007)) {
+      requests.push_back(std::move(request));
     }
   }
+  const auto live = run_live(circuit, column_transient_options(config),
+                             requests, profile, result.transient);
 
-  for (std::size_t i = 0; i < live->size(); ++i) {
-    auto& transistor = (*live)[i];
-    circuit.add<spice::CallbackCurrentSource>(
-        "Irtn_" + transistor.name, transistor.mosfet->drain(),
-        transistor.mosfet->source(),
-        [live, i](double) { return (*live)[i].injection; });
-  }
-
-  spice::TransientOptions options = column_transient_options(config);
-
-  double prev_t = 0.0;
-  options.on_step = [&, live](double t, std::span<const double> x) {
-    for (auto& transistor : *live) {
-      const auto* fet = transistor.mosfet;
-      const double vd = node_voltage(x, fet->drain());
-      const double vg = node_voltage(x, fet->gate());
-      const double vs = node_voltage(x, fet->source());
-      const bool nmos = fet->model().type() == physics::MosType::kNmos;
-      const double v_eff = nmos ? vg - std::min(vd, vs) : std::max(vd, vs) - vg;
-      std::size_t filled = 0;
-      for (auto& live_trap : transistor.traps) {
-        const auto p = srh.propensities(live_trap.trap, v_eff);
-        advance_trap(live_trap, p, prev_t, t);
-        if (live_trap.state == physics::TrapState::kFilled) ++filled;
-      }
-      const double i_d = fet->model().evaluate(vg - vs, vd - vs).i_d;
-      const physics::MosDevice equivalent(config.tech, physics::MosType::kNmos,
-                                          fet->model().geometry());
-      const double amp = core::rtn_amplitude(equivalent, v_eff, i_d);
-      const double sign = i_d >= 0.0 ? 1.0 : -1.0;
-      transistor.injection = -rtn_scale * sign * amp *
-                             static_cast<double>(filled);
-    }
-    prev_t = t;
-  };
-
-  result.transient = spice::transient(circuit, options);
   result.report = check_column(result.transient, config, build);
-  for (const auto& transistor : *live) {
-    for (const auto& live_trap : transistor.traps) {
+  for (const auto& device : *live) {
+    result.num_traps += device.traps.size();
+    for (const auto& live_trap : device.traps) {
       result.switch_events += live_trap.switch_times.size();
     }
   }

@@ -11,7 +11,7 @@ PatternReport check_pattern(const core::Pwl& q, const PatternWaveforms& pattern,
   PatternReport report;
   report.ops.reserve(pattern.ops.size());
 
-  const double tol = options.settle_frac * options.v_dd;
+  const double tol = kSettleFrac * options.v_dd;
   int expected_bit = -1;  // unknown until the first write
 
   for (std::size_t k = 0; k < pattern.ops.size(); ++k) {

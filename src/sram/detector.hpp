@@ -28,10 +28,11 @@ struct PatternReport {
   bool any_slow = false;
 };
 
+/// |Q - target| must be below this fraction of v_dd to count as settled.
+inline constexpr double kSettleFrac = 0.15;
+
 struct DetectorOptions {
   double v_dd = 1.0;
-  /// |Q - target| must be below this fraction of v_dd to count as settled.
-  double settle_frac = 0.15;
   /// A write counts as "slow" if Q settles only later than this fraction
   /// of the slot period after WL turns off.
   double slow_margin_frac = 0.05;

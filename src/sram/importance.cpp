@@ -9,18 +9,20 @@
 
 namespace samurai::sram {
 
-ImportanceSample evaluate_importance_sample(const ImportanceConfig& config,
-                                            std::size_t index) {
-  const util::Rng rng(config.seed);
+namespace {
+
+/// Sample `index`'s cell: its seed, then V_T offsets drawn from the
+/// *biased* distribution N(shift_d, σ²), all on Rng(seed).split(index + 1),
+/// and `weight` = exp(log w) from the log likelihood ratio
+///   log w = Σ_d log[ φ(x_d; 0, σ) / φ(x_d; s_d, σ) ]
+///         = Σ_d (s_d² - 2 s_d x_d) / 2σ².
+/// Both evaluators draw through here, so their weights match bit for bit.
+MethodologyConfig biased_cell(const ImportanceConfig& config,
+                              std::size_t index, double& weight) {
   const double inv_two_var = 1.0 / (2.0 * config.sigma_vt * config.sigma_vt);
-  util::Rng sample_rng = rng.split(index + 1);
+  util::Rng sample_rng = util::Rng(config.seed).split(index + 1);
   MethodologyConfig cell = config.cell;
   cell.seed = sample_rng.next_u64();
-
-  // Draw V_T offsets from the *biased* distribution N(shift_d, σ²)
-  // and accumulate the log likelihood ratio
-  //   log w = Σ_d [ φ(x; 0, σ) / φ(x; s_d, σ) ]
-  //         = Σ_d (s_d² - 2 s_d x_d) / 2σ².
   double log_weight = 0.0;
   for (int m = 1; m <= 6; ++m) {
     const std::string name = "M" + std::to_string(m);
@@ -30,11 +32,17 @@ ImportanceSample evaluate_importance_sample(const ImportanceConfig& config,
     cell.vth_shifts[name] = x;
     log_weight += (shift * shift - 2.0 * shift * x) * inv_two_var;
   }
+  weight = std::exp(log_weight);
+  return cell;
+}
 
-  const auto run = run_methodology(cell);
-  const auto& report = config.with_rtn ? run.rtn_report : run.nominal_report;
+}  // namespace
+
+ImportanceSample evaluate_importance_sample(const ImportanceConfig& config,
+                                            std::size_t index) {
   ImportanceSample sample;
-  sample.weight = std::exp(log_weight);
+  const auto run = run_methodology(biased_cell(config, index, sample.weight));
+  const auto& report = config.with_rtn ? run.rtn_report : run.nominal_report;
   sample.failed =
       report.any_error || (config.count_slow_as_fail && report.any_slow);
   return sample;
@@ -50,28 +58,10 @@ std::vector<ImportanceSample> evaluate_importance_batch(
   std::vector<ImportanceSample> samples(count);
   if (count == 0) return samples;
 
-  // Reproduce each sample's draws exactly as evaluate_importance_sample
-  // does: same split stream, same draw order, same accumulation — the
-  // weights must stay bit-identical to the scalar evaluator's.
-  const util::Rng rng(config.seed);
-  const double inv_two_var = 1.0 / (2.0 * config.sigma_vt * config.sigma_vt);
   std::vector<MethodologyConfig> cells;
   cells.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    util::Rng sample_rng = rng.split(first + i + 1);
-    MethodologyConfig cell = config.cell;
-    cell.seed = sample_rng.next_u64();
-    double log_weight = 0.0;
-    for (int m = 1; m <= 6; ++m) {
-      const std::string name = "M" + std::to_string(m);
-      const auto it = config.shift.find(name);
-      const double shift = it == config.shift.end() ? 0.0 : it->second;
-      const double x = sample_rng.normal(shift, config.sigma_vt);
-      cell.vth_shifts[name] = x;
-      log_weight += (shift * shift - 2.0 * shift * x) * inv_two_var;
-    }
-    samples[i].weight = std::exp(log_weight);
-    cells.push_back(std::move(cell));
+    cells.push_back(biased_cell(config, first + i, samples[i].weight));
   }
 
   spice::BatchWorkspace workspace;

@@ -3,13 +3,8 @@
 #include <memory>
 #include <stdexcept>
 
-#include "spice/rtn_integration.hpp"
-
 namespace samurai::sram {
 
-namespace {
-
-/// Wire the pattern sources and supply to a built cell.
 void attach_sources(spice::Circuit& circuit, const SramCellHandles& handles,
                     const PatternWaveforms& pattern, double v_dd,
                     const std::string& prefix) {
@@ -27,8 +22,6 @@ void attach_sources(spice::Circuit& circuit, const SramCellHandles& handles,
                                     spice::kGround, pattern.blb);
 }
 
-/// `prefix` is the cell's node prefix (build_6t_cell names its nodes
-/// prefix + "q", "qb", ...), so the options exist before the circuit does.
 spice::TransientOptions make_transient_options(const MethodologyConfig& config,
                                                const PatternWaveforms& pattern,
                                                const std::string& prefix) {
@@ -44,7 +37,24 @@ spice::TransientOptions make_transient_options(const MethodologyConfig& config,
   return options;
 }
 
-}  // namespace
+std::vector<spice::RtnRequest> cell_rtn_requests(
+    std::uint64_t seed, double scale, const std::set<std::string>& injected,
+    const std::string& prefix, std::uint64_t stream_offset) {
+  std::vector<spice::RtnRequest> requests(6);
+  for (int m = 1; m <= 6; ++m) {
+    auto& request = requests[static_cast<std::size_t>(m - 1)];
+    const std::string name = "M" + std::to_string(m);
+    request.device = prefix + name;
+    request.scale = scale;
+    request.seed = seed;
+    request.profile_stream =
+        stream_offset + static_cast<std::uint64_t>(m) * 101;
+    request.trap_stream =
+        stream_offset + static_cast<std::uint64_t>(m) * 977 + 13;
+    request.inject = injected.empty() || injected.count(name) != 0;
+  }
+  return requests;
+}
 
 void extract_bias(const spice::TransientResult& result,
                   const spice::Circuit& circuit, const spice::Mosfet& mosfet,
@@ -121,27 +131,14 @@ MethodologyResult run_methodology(const MethodologyConfig& config) {
     return circuit;
   };
 
-  // Traces for all six transistors, each on Rng(seed).split(m·101) for its
-  // traps and split(m·977 + 13) for Algorithm 1; only the rtn_devices
-  // subset (all six when empty) is injected.
-  std::vector<spice::RtnRequest> requests(6);
-  for (int m = 1; m <= 6; ++m) {
-    auto& request = requests[static_cast<std::size_t>(m - 1)];
-    request.device = "M" + std::to_string(m);
-    request.scale = config.rtn_scale;
-    request.seed = config.seed;
-    request.profile_stream = static_cast<std::uint64_t>(m) * 101;
-    request.trap_stream = static_cast<std::uint64_t>(m) * 977 + 13;
-    request.inject = config.rtn_devices.empty() ||
-                     config.rtn_devices.count(request.device) != 0;
-  }
   spice::RtnPipelineOptions pipeline;
   pipeline.generator.uniformisation = config.uniformisation;
   pipeline.profile = config.profile;
   pipeline.keep_bias = true;
 
   auto run = spice::run_rtn_transient(
-      build, make_transient_options(config, result.pattern, ""), requests,
+      build, make_transient_options(config, result.pattern, ""),
+      cell_rtn_requests(config.seed, config.rtn_scale, config.rtn_devices),
       pipeline);
   result.nominal = std::move(run.nominal);
   result.with_rtn = std::move(run.with_rtn);

@@ -24,6 +24,7 @@
 #include "physics/trap_profile.hpp"
 #include "spice/analysis.hpp"
 #include "spice/batch.hpp"
+#include "spice/rtn_integration.hpp"
 #include "sram/cell.hpp"
 #include "sram/detector.hpp"
 #include "sram/pattern.hpp"
@@ -54,8 +55,8 @@ struct MethodologyConfig {
 struct TransistorRtn {
   std::string name;               ///< "M1".."M6"
   std::vector<physics::Trap> traps;
-  core::Pwl v_gs;                 ///< extracted bias (magnitude for PMOS)
-  core::Pwl i_d;                  ///< nominal channel current magnitude
+  core::Pwl v_gs;                 ///< extracted bias (spice::channel_bias)
+  core::Pwl i_d;                  ///< nominal channel current, signed
   core::StepTrace n_filled;       ///< trap occupancy (Fig. 8 (b),(c))
   core::Pwl i_rtn;                ///< Eq. 3 trace (Fig. 8 (d)), signed
   core::UniformisationStats stats;
@@ -108,10 +109,32 @@ struct NominalBatchRun {
 NominalBatchRun run_nominal_batch(std::span<const MethodologyConfig> configs,
                                   spice::BatchWorkspace& workspace);
 
-/// Extract transistor bias waveforms from a transient solution.
-/// For NMOS, V_gs(t) = V(gate) - min(V(d), V(s)); for PMOS the magnitude
-/// of the overdrive against the higher terminal. I_d is the channel
-/// current magnitude from the DC model at the extracted bias.
+/// Wire the pattern sources and supply (named prefix + "Vdd", "Vwl",
+/// "Vbl", "Vblb") to a built cell.
+void attach_sources(spice::Circuit& circuit, const SramCellHandles& handles,
+                    const PatternWaveforms& pattern, double v_dd,
+                    const std::string& prefix);
+
+/// The cell's transient options: config.transient over the pattern window,
+/// dt_max = period/40 unless set, and nodesets placing the cell whose nodes
+/// carry `prefix` in its Q = 0 basin (so the options exist before the
+/// circuit does).
+spice::TransientOptions make_transient_options(const MethodologyConfig& config,
+                                               const PatternWaveforms& pattern,
+                                               const std::string& prefix);
+
+/// RTN requests for the six transistors M1..M6 of the cell whose devices
+/// carry `prefix`, in order: M<m> draws its traps from
+/// Rng(seed).split(stream_offset + m·101) and its chains from
+/// split(stream_offset + m·977 + 13), at amplitude `scale`. Only the
+/// `injected` subset of "M1".."M6" (all six when empty) is injected.
+std::vector<spice::RtnRequest> cell_rtn_requests(
+    std::uint64_t seed, double scale, const std::set<std::string>& injected,
+    const std::string& prefix = "", std::uint64_t stream_offset = 0);
+
+/// Extract transistor bias waveforms from a transient solution: the
+/// spice::channel_bias V_gs(t) and signed I_d(t) of
+/// spice::extract_device_bias.
 void extract_bias(const spice::TransientResult& result,
                   const spice::Circuit& circuit, const spice::Mosfet& mosfet,
                   core::Pwl& v_gs, core::Pwl& i_d);

@@ -145,8 +145,8 @@ TEST(SparseSolver, ColumnMatchesDenseWithSameStepSequence) {
   EXPECT_LT(hi - lo, lo / 50 + 2);
   EXPECT_GT(sparse.stats().sp_solves, 0u);
   EXPECT_EQ(dense.stats().sp_solves, 0u);
-  const double t_end = static_cast<double>(config.ops.size()) *
-                       config.timing.period;
+  const double t_end =
+      static_cast<double>(config.ops.size()) * sram::kSlotPeriod;
   for (const std::string& node :
        {build.bl, build.blb, build.cells[0].q, build.cells[7].q}) {
     EXPECT_LT(max_waveform_diff(dense, sparse, node, t_end), 2e-4)
@@ -177,8 +177,8 @@ TEST(SparseSolver, FixedStepColumnHasIdenticalStepSequence) {
   ASSERT_EQ(dense.num_points(), sparse.num_points());
   EXPECT_EQ(dense.times(), sparse.times());
   EXPECT_EQ(dense.stats().steps_rejected, sparse.stats().steps_rejected);
-  const double t_end = static_cast<double>(config.ops.size()) *
-                       config.timing.period;
+  const double t_end =
+      static_cast<double>(config.ops.size()) * sram::kSlotPeriod;
   for (const std::string& node : {build.bl, build.cells[0].q}) {
     EXPECT_LT(max_waveform_diff(dense, sparse, node, t_end), 2e-4)
         << "node " << node;
