@@ -35,7 +35,8 @@ struct CoupledResult {
 };
 
 /// Run the coupled simulation with the same configuration surface as the
-/// staged methodology. `config.rtn_scale` scales the injected amplitude.
+/// staged methodology (same cell, requests and traps; dt_max defaults to
+/// period/100). `config.rtn_devices` limits which transistors inject.
 CoupledResult run_coupled(const MethodologyConfig& config);
 
 struct CoupledColumnResult {
