@@ -18,7 +18,6 @@
 #include <stdexcept>
 
 #include "sram/array2d.hpp"
-#include "sram/column.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
 
@@ -38,7 +37,8 @@ void usage() {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  sram::ColumnConfig config;
+  sram::Array2dConfig config;  // the column: rows = cells, cols = 1
+  config.cols = 1;
   std::size_t seeds = 0;
   std::size_t rows = 0, cols = 0;
   double rtn_scale = 0.0;
@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
                           "cols", "rtn-scale"});
     config.tech = physics::technology(cli.get_string("node", "90nm"));
     config.tech.v_dd = cli.get_double("vdd", 1.0);
-    config.num_cells = static_cast<std::size_t>(cli.get_count("cells", 4));
+    config.rows = static_cast<std::size_t>(cli.get_count("cells", 4));
     config.bitline_cap = cli.get_positive_double("cbl", 120e-15);
     seeds = static_cast<std::size_t>(cli.get_count("seeds", 4));
     rows = static_cast<std::size_t>(cli.get_count("rows", 8));
@@ -59,20 +59,20 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.initial_bits = {1, 0, 1, 0};
-  config.initial_bits.resize(config.num_cells, 0);
+  config.initial_bits.resize(config.rows, 0);
   // A read-heavy pattern touching every cell twice.
-  for (std::size_t i = 0; i < config.num_cells; ++i) {
-    config.ops.push_back(sram::ColumnOp::read(i));
+  for (std::size_t i = 0; i < config.rows; ++i) {
+    config.ops.push_back(sram::ArrayOp::read(i));
   }
-  config.ops.push_back(sram::ColumnOp::write(0, 0));
-  config.ops.push_back(sram::ColumnOp::read(0));
-  for (std::size_t i = 1; i < config.num_cells; ++i) {
-    config.ops.push_back(sram::ColumnOp::read(i));
+  config.ops.push_back(sram::ArrayOp::write(0, {0}));
+  config.ops.push_back(sram::ArrayOp::read(0));
+  for (std::size_t i = 1; i < config.rows; ++i) {
+    config.ops.push_back(sram::ArrayOp::read(i));
   }
 
   std::printf("=== Column read bench: sense margin under RTN ===\n");
   std::printf("%s column, %zu cells, C_bl = %.0f fF, V_dd = %.2f V, %zu ops\n\n",
-              config.tech.name.c_str(), config.num_cells,
+              config.tech.name.c_str(), config.rows,
               config.bitline_cap * 1e15, config.tech.v_dd, config.ops.size());
 
   util::Table table({"RTN scale", "sense errors", "disturbs",
@@ -109,11 +109,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // --- Array-level per-column worst-case margin ---------------------------
-  sram::Array2dConfig array;
-  array.tech = config.tech;
+  sram::Array2dConfig array = config;
   array.rows = rows;
   array.cols = cols;
-  array.bitline_cap = config.bitline_cap;
   array.initial_bits.resize(rows * cols);
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {

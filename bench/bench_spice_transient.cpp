@@ -32,7 +32,6 @@
 
 #include "spice/analysis.hpp"
 #include "sram/array2d.hpp"
-#include "sram/column.hpp"
 #include "sram/coupled.hpp"
 #include "sram/methodology.hpp"
 #include "util/cli.hpp"
@@ -175,13 +174,14 @@ BatchReport bench_write6t_batched(std::size_t lanes, int reps, int batches) {
   return report;
 }
 
-sram::ColumnConfig column_config(std::size_t cells) {
-  sram::ColumnConfig config;
+sram::Array2dConfig column_config(std::size_t cells) {
+  sram::Array2dConfig config;
   config.tech = physics::technology("90nm");
-  config.num_cells = cells;
+  config.rows = cells;
+  config.cols = 1;
   config.initial_bits.assign(cells, 0);
-  config.ops = {sram::ColumnOp::write(0, 1), sram::ColumnOp::read(0),
-                sram::ColumnOp::read(cells - 1)};
+  config.ops = {sram::ArrayOp::write(0, {1}), sram::ArrayOp::read(0),
+                sram::ArrayOp::read(cells - 1)};
   return config;
 }
 
@@ -191,7 +191,7 @@ sram::ColumnConfig column_config(std::size_t cells) {
 /// way campaign repetitions amortise it.
 ModeReport bench_column(std::size_t cells, spice::SolverKind solver, int reps,
                         int batches) {
-  const sram::ColumnConfig config = column_config(cells);
+  const sram::Array2dConfig config = column_config(cells);
   spice::NewtonWorkspace workspace;
 
   auto run_once = [&] {
@@ -242,7 +242,7 @@ struct ArrayColumnMode {
 ArrayColumnMode bench_array_column(std::size_t cells,
                                    spice::ActivityMode mode, double tol,
                                    int reps, int batches) {
-  const sram::ColumnConfig config = column_config(cells);
+  const sram::Array2dConfig config = column_config(cells);
   spice::NewtonWorkspace workspace;
 
   auto run_once = [&] {

@@ -29,7 +29,6 @@ class Pwl {
   static Pwl constant(double value);
 
   double eval(double t) const;
-  double front_time() const { return times_.empty() ? 0.0 : times_.front(); }
   double back_time() const { return times_.empty() ? 0.0 : times_.back(); }
   bool is_constant() const { return times_.size() <= 1; }
 

@@ -128,7 +128,6 @@ class Circuit {
   }
 
   std::size_t num_nodes() const noexcept { return node_names_.size(); }
-  std::size_t num_branches() const noexcept { return num_branches_; }
   /// Size of the MNA unknown vector.
   std::size_t system_size() const noexcept { return num_nodes() + num_branches_; }
   /// Branch unknowns live after the node voltages in x.

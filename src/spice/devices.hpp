@@ -58,7 +58,6 @@ class VoltageSource final : public Device {
   /// Index of this source's current unknown in x (current flows from the
   /// + node through the source to the - node).
   int branch_index() const;
-  double value_at(double t) const { return waveform_.eval(t); }
 
  private:
   Circuit* circuit_;
@@ -82,7 +81,6 @@ class CurrentSource final : public Device {
   void load(const LoadContext& ctx) override;
   bool is_linear() const noexcept override { return true; }
   void collect_breakpoints(std::vector<double>& breakpoints) const override;
-  void set_waveform(core::Pwl waveform) { waveform_ = std::move(waveform); }
   /// true: every PWL corner becomes a step breakpoint. For stimuli whose
   /// corners are the point: the netlist `I` card, the ring's start-up kick
   /// and the Fig. 5 glitch pulse, whose 5-10 ps edges a grid step would

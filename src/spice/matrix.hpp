@@ -47,12 +47,6 @@ class DenseMatrix {
     return true;
   }
 
-  /// Overwrite this matrix with `other` (sizes must match): the fast-path
-  /// restore of a cached base Jacobian — one memcpy, no re-stamping.
-  void copy_from(const DenseMatrix& other) {
-    std::memcpy(data_.data(), other.data_.data(), n_ * n_ * sizeof(double));
-  }
-
   double* data() noexcept { return data_.data(); }
   const double* data() const noexcept { return data_.data(); }
 
@@ -145,7 +139,8 @@ class SparseMatrix {
   void set_zero() { std::fill(values_.begin(), values_.end(), 0.0); }
 
   /// Overwrite this matrix's values with `other`'s (same pattern): the
-  /// sparse analogue of DenseMatrix::copy_from.
+  /// fast-path restore of a cached base Jacobian — one memcpy, no
+  /// re-stamping.
   void copy_values_from(const SparseMatrix& other) {
     std::memcpy(values_.data(), other.values_.data(),
                 values_.size() * sizeof(double));
@@ -222,7 +217,6 @@ class SparseLu {
     analyzed_ = false;
     numeric_valid_ = false;
   }
-  bool analyzed() const noexcept { return analyzed_; }
   /// Entries in L+U including fill-in (after a successful analysis).
   std::size_t fill_nnz() const noexcept { return lu_cols_.size(); }
 

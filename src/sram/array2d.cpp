@@ -14,11 +14,30 @@ std::string array_cell_prefix(std::size_t row, std::size_t col) {
   return "r" + std::to_string(row) + "c" + std::to_string(col) + "_";
 }
 
+std::string column_cell_prefix(std::size_t index) {
+  return "c" + std::to_string(index) + "_";
+}
+
 namespace {
 
-/// Control waveforms for the op sequence (same slot timing discipline as
-/// the column's build_waves, widened to per-row WL and per-column
-/// drivers).
+/// Slot timing within each kSlotPeriod, shared by both builders and
+/// check_array2d: control-waveform edge time and instants as fractions.
+constexpr double kSlotEdge = 50e-12;
+/// Precharge window at the slot start.
+constexpr double kSlotPrechargeFrac = 0.25;
+constexpr double kSlotWlOnFrac = 0.32;   ///< WL rises here
+constexpr double kSlotWlOffFrac = 0.80;  ///< WL falls here
+/// Read sense instant: shortly after WL rises, while the differential
+/// is still a few hundred mV (sensing a fully railed bitline would hide
+/// any RTN-induced discharge slowdown).
+constexpr double kSlotSenseFrac = 0.40;
+
+/// Periphery widths of the column and the array, × w_min.
+constexpr double kDriverWidthMult = 6.0;      ///< write-driver NMOS
+constexpr double kPrechargeWidthMult = 16.0;  ///< precharge PMOS
+
+/// Control waveforms for the op sequence: WL per row (a column's per
+/// cell) and write drivers per column.
 struct ArrayWaves {
   core::Pwl pcb;                  ///< shared precharge gate (active low)
   std::vector<core::Pwl> wl;      ///< one per row
@@ -168,6 +187,82 @@ Array2dBuild build_array2d(spice::Circuit& circuit,
   return build;
 }
 
+Array2dBuild build_column(spice::Circuit& circuit, const Array2dConfig& config) {
+  if (config.cols != 1) {
+    throw std::invalid_argument("build_column: a column has cols == 1");
+  }
+  if (config.ops.empty() || config.rows == 0) {
+    throw std::invalid_argument("build_column: need cells and ops");
+  }
+  Array2dBuild build;
+  build.bl = {"bl"};
+  build.blb = {"blb"};
+  build.vdd = "vdd";
+  const int bl = circuit.node(build.bl[0]);
+  const int blb = circuit.node(build.blb[0]);
+  const int vdd = circuit.node(build.vdd);
+  const double v_dd = config.tech.v_dd;
+
+  spice::VoltageSource::dc(circuit, "Vdd", vdd, spice::kGround, v_dd);
+  const auto waves = build_waves(config);
+
+  // Cells; their private bitline stubs tie to the shared rails through
+  // small contact resistances, and each word line has its own source.
+  for (std::size_t i = 0; i < config.rows; ++i) {
+    const std::string prefix = column_cell_prefix(i);
+    auto handles = build_6t_cell(circuit, config.tech, config.sizing, prefix);
+    circuit.add<spice::Resistor>(prefix + "Rbl", circuit.find_node(handles.bl),
+                                 bl, 20.0);
+    circuit.add<spice::Resistor>(prefix + "Rblb",
+                                 circuit.find_node(handles.blb), blb, 20.0);
+    circuit.add<spice::Resistor>(prefix + "Rvdd",
+                                 circuit.find_node(handles.vdd), vdd, 2.0);
+    circuit.add<spice::VoltageSource>(circuit, prefix + "Vwl",
+                                      circuit.find_node(handles.wl),
+                                      spice::kGround, waves.wl[i]);
+    build.wl.push_back(handles.wl);
+    build.cells.push_back(std::move(handles));
+  }
+
+  // Bitline capacitances (the load that makes reads a discharge race).
+  circuit.add<spice::Capacitor>("Cbl", bl, spice::kGround, config.bitline_cap);
+  circuit.add<spice::Capacitor>("Cblb", blb, spice::kGround,
+                                config.bitline_cap);
+
+  // Precharge PMOS pair + equaliser, gate pcb (active low).
+  const int pcb = circuit.node("pcb");
+  circuit.add<spice::VoltageSource>(circuit, "Vpcb", pcb, spice::kGround,
+                                    waves.pcb);
+  const physics::MosGeometry pre_geom{
+      kPrechargeWidthMult * config.tech.w_min, config.tech.l_min};
+  circuit.add<spice::Mosfet>(
+      "MPC0", bl, pcb, vdd, vdd,
+      physics::MosDevice(config.tech, physics::MosType::kPmos, pre_geom));
+  circuit.add<spice::Mosfet>(
+      "MPC1", blb, pcb, vdd, vdd,
+      physics::MosDevice(config.tech, physics::MosType::kPmos, pre_geom));
+  circuit.add<spice::Mosfet>(
+      "MEQ", bl, pcb, blb, vdd,
+      physics::MosDevice(config.tech, physics::MosType::kPmos, pre_geom));
+
+  // Write drivers: NMOS pull-downs on each bitline.
+  const int wd0 = circuit.node("wd0");
+  const int wd1 = circuit.node("wd1");
+  circuit.add<spice::VoltageSource>(circuit, "Vwd0", wd0, spice::kGround,
+                                    waves.wd0[0]);
+  circuit.add<spice::VoltageSource>(circuit, "Vwd1", wd1, spice::kGround,
+                                    waves.wd1[0]);
+  const physics::MosGeometry driver_geom{
+      kDriverWidthMult * config.tech.w_min, config.tech.l_min};
+  circuit.add<spice::Mosfet>(
+      "MWD0", bl, wd0, spice::kGround, spice::kGround,
+      physics::MosDevice(config.tech, physics::MosType::kNmos, driver_geom));
+  circuit.add<spice::Mosfet>(
+      "MWD1", blb, wd1, spice::kGround, spice::kGround,
+      physics::MosDevice(config.tech, physics::MosType::kNmos, driver_geom));
+  return build;
+}
+
 Array2dReport check_array2d(const spice::TransientResult& result,
                             const Array2dConfig& config,
                             const Array2dBuild& build) {
@@ -256,6 +351,25 @@ spice::TransientOptions array2d_transient_options(
   return options;
 }
 
+spice::TransientOptions column_transient_options(const Array2dConfig& config) {
+  spice::TransientOptions options;
+  options.t_start = 0.0;
+  options.t_stop = static_cast<double>(config.ops.size()) * kSlotPeriod;
+  options.dt_max = kSlotPeriod / 150.0;
+  const double v_dd = config.tech.v_dd;
+  options.dc.nodeset["bl"] = v_dd;
+  options.dc.nodeset["blb"] = v_dd;
+  options.dc.nodeset["vdd"] = v_dd;
+  for (std::size_t i = 0; i < config.rows; ++i) {
+    const std::string prefix = column_cell_prefix(i);
+    const int bit = initial_bit(config, i, 0);
+    options.dc.nodeset[prefix + "q"] = bit ? v_dd : 0.0;
+    options.dc.nodeset[prefix + "qb"] = bit ? 0.0 : v_dd;
+    options.dc.nodeset[prefix + "vdd"] = v_dd;
+  }
+  return options;
+}
+
 spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
                                           const Array2dConfig& config,
                                           spice::ActivityMode mode,
@@ -290,19 +404,84 @@ spice::ActivityPartition array2d_activity(spice::Circuit& circuit,
   return partition;
 }
 
+spice::ActivityPartition column_activity(spice::Circuit& circuit,
+                                         const Array2dConfig& config,
+                                         spice::ActivityMode mode,
+                                         double tolerance) {
+  spice::ActivityPartition partition;
+  partition.mode = mode;
+  partition.tolerance = tolerance;
+  if (mode == spice::ActivityMode::kOff) return partition;
+
+  std::vector<bool> addressed(config.rows, false);
+  for (const auto& op : config.ops) {
+    if (op.kind != ArrayOp::Kind::kNop && op.row < config.rows) {
+      addressed[op.row] = true;
+    }
+  }
+  for (std::size_t i = 0; i < config.rows; ++i) {
+    if (addressed[i]) continue;
+    const std::string prefix = column_cell_prefix(i);
+    for (int m = 1; m <= 6; ++m) {
+      partition.quiescent_devices.push_back(prefix + "M" + std::to_string(m));
+    }
+    auto* vwl = circuit.find<spice::VoltageSource>(prefix + "Vwl");
+    if (vwl == nullptr) {
+      throw std::invalid_argument("column_activity: circuit is not a "
+                                  "build_column circuit (missing " +
+                                  prefix + "Vwl)");
+    }
+    partition.groups.push_back({circuit.find_node(prefix + "q"),
+                                circuit.find_node(prefix + "qb"),
+                                circuit.find_node(prefix + "bl"),
+                                circuit.find_node(prefix + "blb"),
+                                circuit.find_node(prefix + "vdd"),
+                                circuit.find_node(prefix + "wl"),
+                                vwl->branch_index()});
+  }
+  return partition;
+}
+
+namespace {
+
+/// Both run_rtn_transient passes on circuits from `build`, each judged by
+/// check_array2d.
+Array2dRtnResult run_checked(
+    const Array2dConfig& config, const spice::TransientOptions& options,
+    const std::vector<spice::RtnRequest>& requests,
+    Array2dBuild (*build)(spice::Circuit&, const Array2dConfig&)) {
+  Array2dRtnResult result;
+  Array2dBuild names;  // node names, identical for both factory calls
+  result.rtn = spice::run_rtn_transient(
+      [&] {
+        auto circuit = std::make_unique<spice::Circuit>();
+        names = build(*circuit, config);
+        return circuit;
+      },
+      options, requests);
+  result.nominal_report = check_array2d(result.rtn.nominal, config, names);
+  result.rtn_report = check_array2d(result.rtn.with_rtn, config, names);
+  return result;
+}
+
+}  // namespace
+
 Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
                                  std::uint64_t seed, double rtn_scale,
                                  const spice::ActivityPartition* activity) {
   spice::TransientOptions options = array2d_transient_options(config);
   if (activity != nullptr) options.activity = *activity;
-  // Both passes run on the fixed op-slot grid. With LTE control on, every
-  // trap transition in any of the R*C injected sources forces a global
-  // step refinement, so the injected cost would scale with the total
-  // transition count instead of the array size (a 16x16 array already
-  // takes ~10x the nominal step count). The fixed grid keeps step
-  // placement identical across the two passes — differences in the
-  // outcome are attributable to RTN alone — and samples each trap current
-  // at the slot resolution the sense checks use.
+  // Both passes run the adaptive loop from dt_initial = dt_max with the
+  // LTE test disabled (tolerances 1e9): a step clipped at a breakpoint
+  // regrows to dt_max over the next steps and a Newton failure quarters
+  // the step. With LTE control on, every trap transition in any of the
+  // R*C injected sources forces a global step refinement, so the injected
+  // cost would scale with the total transition count instead of the array
+  // size (a 16x16 array already takes ~10x the nominal step count).
+  // Without it both passes place their steps at the same control-waveform
+  // breakpoints unless Newton fails — differences in the outcome are
+  // attributable to RTN alone — and each trap current is sampled at the
+  // step resolution the sense checks use.
   options.dt_initial = options.dt_max;
   options.lte_reltol = 1e9;
   options.lte_abstol = 1e9;
@@ -316,19 +495,27 @@ Array2dRtnResult run_array2d_rtn(const Array2dConfig& config,
     requests[flat].scale = rtn_scale;
     requests[flat].seed = seed + 1000 * flat + 5;
   }
+  return run_checked(config, options, requests, build_array2d);
+}
 
-  Array2dRtnResult result;
-  Array2dBuild build;  // node names, identical for both factory calls
-  result.rtn = spice::run_rtn_transient(
-      [&] {
-        auto circuit = std::make_unique<spice::Circuit>();
-        build = build_array2d(*circuit, config);
-        return circuit;
-      },
-      options, requests);
-  result.nominal_report = check_array2d(result.rtn.nominal, config, build);
-  result.rtn_report = check_array2d(result.rtn.with_rtn, config, build);
-  return result;
+Array2dRtnResult run_column_rtn(const Array2dConfig& config,
+                                std::uint64_t seed, double rtn_scale,
+                                const spice::ActivityPartition* activity) {
+  spice::TransientOptions options = column_transient_options(config);
+  if (activity != nullptr) options.activity = *activity;
+
+  // One RTN request per cell transistor, each with its own stream.
+  std::vector<spice::RtnRequest> requests;
+  for (std::size_t i = 0; i < config.rows; ++i) {
+    for (int m = 1; m <= 6; ++m) {
+      spice::RtnRequest request;
+      request.device = column_cell_prefix(i) + "M" + std::to_string(m);
+      request.scale = rtn_scale;
+      request.seed = seed + 1000 * i + static_cast<std::uint64_t>(m);
+      requests.push_back(std::move(request));
+    }
+  }
+  return run_checked(config, options, requests, build_column);
 }
 
 }  // namespace samurai::sram

@@ -163,18 +163,18 @@ CoupledResult run_coupled(const MethodologyConfig& config) {
 }
 
 CoupledColumnResult run_coupled_column(
-    const ColumnConfig& config, std::uint64_t seed, double rtn_scale,
+    const Array2dConfig& config, std::uint64_t seed, double rtn_scale,
     const physics::TrapProfileOptions& profile) {
   CoupledColumnResult result;
 
   spice::Circuit circuit;
-  const ColumnBuild build = build_column(circuit, config);
+  const Array2dBuild build = build_column(circuit, config);
 
   // Cell i's six requests run on streams offset by i·6007, so adding
   // cells never perturbs existing streams.
   std::vector<spice::RtnRequest> requests;
-  requests.reserve(6 * config.num_cells);
-  for (std::size_t cell = 0; cell < config.num_cells; ++cell) {
+  requests.reserve(6 * config.rows);
+  for (std::size_t cell = 0; cell < config.rows; ++cell) {
     for (auto& request : cell_rtn_requests(seed, rtn_scale, {},
                                            column_cell_prefix(cell),
                                            cell * 6007)) {
@@ -184,7 +184,7 @@ CoupledColumnResult run_coupled_column(
   const auto live = run_live(circuit, column_transient_options(config),
                              requests, profile, result.transient);
 
-  result.report = check_column(result.transient, config, build);
+  result.report = check_array2d(result.transient, config, build);
   for (const auto& device : *live) {
     result.num_traps += device.traps.size();
     for (const auto& live_trap : device.traps) {

@@ -18,7 +18,7 @@
 #include "core/trajectory.hpp"
 #include "physics/trap.hpp"
 #include "physics/trap_profile.hpp"
-#include "sram/column.hpp"
+#include "sram/array2d.hpp"
 #include "sram/methodology.hpp"
 
 namespace samurai::sram {
@@ -41,19 +41,19 @@ CoupledResult run_coupled(const MethodologyConfig& config);
 
 struct CoupledColumnResult {
   spice::TransientResult transient;  ///< the coupled column run
-  ColumnReport report;
+  Array2dReport report;
   std::size_t num_traps = 0;       ///< traps sampled across all cells
   std::uint64_t switch_events = 0; ///< total trap transitions during the run
 };
 
-/// Coupled RTN over a whole shared-bitline column: one MNA system holding
-/// all N cells of a build_column circuit (solved on the sparse engine above
-/// the auto threshold), where every cell transistor carries live trap
-/// chains advanced after each accepted step at its actual instantaneous
-/// node voltages — so a cell's RTN back-action reaches its neighbours
-/// through the shared bitlines within the same run.
+/// Coupled RTN over a whole shared-bitline column (an N×1 config): one MNA
+/// system holding all N cells of a build_column circuit (solved on the
+/// sparse engine above the auto threshold), where every cell transistor
+/// carries live trap chains advanced after each accepted step at its
+/// actual instantaneous node voltages — so a cell's RTN back-action
+/// reaches its neighbours through the shared bitlines within the same run.
 CoupledColumnResult run_coupled_column(
-    const ColumnConfig& config, std::uint64_t seed, double rtn_scale,
+    const Array2dConfig& config, std::uint64_t seed, double rtn_scale,
     const physics::TrapProfileOptions& profile = {});
 
 }  // namespace samurai::sram

@@ -24,9 +24,6 @@ class Table {
   /// Append a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<Cell> row);
 
-  std::size_t num_rows() const noexcept { return rows_.size(); }
-  std::size_t num_cols() const noexcept { return headers_.size(); }
-
   /// Pretty-print with aligned columns and a header rule.
   void print(std::ostream& os) const;
 

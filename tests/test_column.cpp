@@ -1,34 +1,52 @@
-#include "sram/column.hpp"
+#include "sram/array2d.hpp"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+
+#include "bit_hash.hpp"
 
 namespace samurai::sram {
 namespace {
 
-ColumnConfig small_column() {
-  ColumnConfig config;
+Array2dConfig small_column() {
+  Array2dConfig config;
   config.tech = physics::technology("90nm");
-  config.num_cells = 2;
+  config.rows = 2;
+  config.cols = 1;
   config.initial_bits = {0, 1};
-  config.ops = {ColumnOp::write(0, 1), ColumnOp::read(0), ColumnOp::read(1)};
+  config.ops = {ArrayOp::write(0, {1}), ArrayOp::read(0), ArrayOp::read(1)};
   return config;
 }
 
 TEST(Column, RejectsEmptyConfigs) {
   spice::Circuit circuit;
-  ColumnConfig config = small_column();
+  Array2dConfig config = small_column();
   config.ops.clear();
   EXPECT_THROW(build_column(circuit, config), std::invalid_argument);
   config = small_column();
-  config.num_cells = 0;
+  config.rows = 0;
   spice::Circuit circuit2;
   EXPECT_THROW(build_column(circuit2, config), std::invalid_argument);
 }
 
+TEST(Column, BuildRejectsMoreThanOneColumn) {
+  // A column is an N×1 array: a wider config is an array's, and
+  // build_column refuses it before adding a device.
+  Array2dConfig config = small_column();
+  config.cols = 2;
+  config.ops = {ArrayOp::read(0)};
+  spice::Circuit circuit;
+  EXPECT_THROW(build_column(circuit, config), std::invalid_argument);
+  EXPECT_TRUE(circuit.devices().empty());
+  config.cols = 0;
+  EXPECT_THROW(build_column(circuit, config), std::invalid_argument);
+}
+
 TEST(Column, OpAddressingMissingCellThrows) {
   spice::Circuit circuit;
-  ColumnConfig config = small_column();
-  config.ops.push_back(ColumnOp::read(7));
+  Array2dConfig config = small_column();
+  config.ops.push_back(ArrayOp::read(7));
   EXPECT_THROW(build_column(circuit, config), std::invalid_argument);
 }
 
@@ -36,10 +54,14 @@ TEST(Column, BuildsSharedRailsAndPerCellWordlines) {
   spice::Circuit circuit;
   const auto build = build_column(circuit, small_column());
   ASSERT_EQ(build.cells.size(), 2u);
+  EXPECT_EQ(build.bl, std::vector<std::string>{"bl"});
+  EXPECT_EQ(build.blb, std::vector<std::string>{"blb"});
+  EXPECT_EQ(build.wl, (std::vector<std::string>{"c0_wl", "c1_wl"}));
   EXPECT_TRUE(circuit.has_node("bl"));
   EXPECT_TRUE(circuit.has_node("blb"));
   EXPECT_TRUE(circuit.has_node("c0_q"));
   EXPECT_TRUE(circuit.has_node("c1_q"));
+  EXPECT_NE(circuit.find<spice::VoltageSource>("c1_Vwl"), nullptr);
   EXPECT_NE(circuit.find<spice::Mosfet>("MPC0"), nullptr);
   EXPECT_NE(circuit.find<spice::Mosfet>("MWD1"), nullptr);
   EXPECT_NE(circuit.find<spice::Mosfet>("c1_M5"), nullptr);
@@ -57,8 +79,8 @@ TEST(Column, NominalOpsAllSucceed) {
 }
 
 TEST(Column, ReadsSenseBothPolarities) {
-  ColumnConfig config = small_column();
-  config.ops = {ColumnOp::read(0), ColumnOp::read(1)};  // stored 0 and 1
+  Array2dConfig config = small_column();
+  config.ops = {ArrayOp::read(0), ArrayOp::read(1)};  // stored 0 and 1
   const auto result = run_column_rtn(config, 4, 0.0);
   ASSERT_EQ(result.nominal_report.reads.size(), 2u);
   EXPECT_EQ(result.nominal_report.reads[0].sensed, 0);
@@ -76,7 +98,7 @@ TEST(Column, SenseMarginIsPartialDischarge) {
 }
 
 TEST(Column, RtnShrinksOrPerturbsSenseMargins) {
-  ColumnConfig config = small_column();
+  Array2dConfig config = small_column();
   const auto clean = run_column_rtn(config, 6, 0.0);
   const auto noisy = run_column_rtn(config, 6, 120.0);
   ASSERT_EQ(clean.rtn_report.reads.size(), noisy.rtn_report.reads.size());
@@ -90,18 +112,18 @@ TEST(Column, RtnShrinksOrPerturbsSenseMargins) {
 }
 
 TEST(Column, NopSlotsLeaveCellsAlone) {
-  ColumnConfig config = small_column();
-  config.ops = {ColumnOp::nop(), ColumnOp::nop(), ColumnOp::read(1)};
+  Array2dConfig config = small_column();
+  config.ops = {ArrayOp::nop(), ArrayOp::nop(), ArrayOp::read(1)};
   const auto result = run_column_rtn(config, 7, 0.0);
   EXPECT_FALSE(result.nominal_report.any_error);
   EXPECT_EQ(result.nominal_report.reads[0].expected, 1);
 }
 
 TEST(Column, WriteOverwritesOppositeValue) {
-  ColumnConfig config = small_column();
+  Array2dConfig config = small_column();
   config.initial_bits = {1, 0};
-  config.ops = {ColumnOp::write(0, 0), ColumnOp::read(0),
-                ColumnOp::write(1, 1), ColumnOp::read(1)};
+  config.ops = {ArrayOp::write(0, {0}), ArrayOp::read(0),
+                ArrayOp::write(1, {1}), ArrayOp::read(1)};
   const auto result = run_column_rtn(config, 8, 0.0);
   EXPECT_FALSE(result.nominal_report.any_error);
   EXPECT_EQ(result.nominal_report.reads[0].sensed, 0);
@@ -117,6 +139,71 @@ TEST(Column, DeterministicGivenSeed) {
   }
   EXPECT_NEAR(a.rtn_report.min_sense_margin, b.rtn_report.min_sense_margin,
               1e-12);
+}
+
+void add_report(BitHash& hash, const Array2dReport& report) {
+  for (const auto& read : report.reads) {
+    hash.add(static_cast<std::uint64_t>(read.slot));
+    hash.add(static_cast<std::uint64_t>(read.cell));
+    hash.add(static_cast<std::uint64_t>(read.expected));
+    hash.add(static_cast<std::uint64_t>(read.sensed));
+    hash.add(read.sense_margin);
+    hash.add(static_cast<std::uint64_t>(read.disturbed));
+  }
+  for (const auto& write : report.writes) {
+    hash.add(static_cast<std::uint64_t>(write.slot));
+    hash.add(static_cast<std::uint64_t>(write.cell));
+    hash.add(static_cast<std::uint64_t>(write.bit));
+    hash.add(static_cast<std::uint64_t>(write.ok));
+  }
+  hash.add(static_cast<std::uint64_t>(report.any_error));
+  hash.add(report.min_sense_margin);
+}
+
+std::uint64_t column_hash(const Array2dRtnResult& result) {
+  BitHash hash;
+  hash.add(result.rtn.nominal);
+  hash.add(result.rtn.with_rtn);
+  for (const auto& trace : result.rtn.traces) {
+    hash.add(trace.device);
+    hash.add(trace.traps);
+    hash.add(trace.n_filled);
+    hash.add(trace.i_rtn);
+  }
+  add_report(hash, result.nominal_report);
+  add_report(hash, result.rtn_report);
+  return hash.value();
+}
+
+TEST(Column, GoldenHashes) {
+  // Both transients (times, samples, solver counters), every trace's
+  // traps, occupancy and injected current, and both reports of a 4-cell
+  // column with a nop slot and both write polarities, unpartitioned and
+  // Schur-partitioned, at RTN scales 0 and 30, pinned bit for bit: the
+  // column's wiring, control waveforms and checker must leave every one
+  // of them where it was.
+  Array2dConfig config;
+  config.tech = physics::technology("90nm");
+  config.rows = 4;
+  config.cols = 1;
+  config.initial_bits = {0, 1, 1, 0};
+  config.ops = {ArrayOp::write(0, {1}), ArrayOp::read(0), ArrayOp::nop(),
+                ArrayOp::write(2, {0}), ArrayOp::read(2)};
+  spice::Circuit probe;
+  (void)build_column(probe, config);
+  const auto partition =
+      column_activity(probe, config, spice::ActivityMode::kSchur, 1e-4);
+  ASSERT_EQ(partition.groups.size(), 2u);  // cells 1 and 3 are quiescent
+  EXPECT_EQ(partition.groups[0].size(), 7u);
+
+  EXPECT_EQ(column_hash(run_column_rtn(config, 21, 0.0)),
+            0x6080916710bcfc9aULL);
+  EXPECT_EQ(column_hash(run_column_rtn(config, 21, 0.0, &partition)),
+            0xaebf27632b3b8a97ULL);
+  EXPECT_EQ(column_hash(run_column_rtn(config, 21, 30.0)),
+            0xcc6f166deae7602dULL);
+  EXPECT_EQ(column_hash(run_column_rtn(config, 21, 30.0, &partition)),
+            0x32522d1a2dd01337ULL);
 }
 
 }  // namespace

@@ -2,12 +2,10 @@
 // simulation (ext. 1) and array Monte-Carlo statistics (ext. 3).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <string>
-#include <vector>
 
+#include "bit_hash.hpp"
 #include "sram/array.hpp"
 #include "sram/coupled.hpp"
 
@@ -21,53 +19,6 @@ MethodologyConfig tiny_config() {
   config.seed = 3;
   return config;
 }
-
-/// FNV-1a over the bit patterns of everything added.
-class BitHash {
- public:
-  void add(std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      hash_ ^= (value >> (8 * byte)) & 0xffu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  void add(double value) { add(std::bit_cast<std::uint64_t>(value)); }
-  void add(const std::vector<double>& values) {
-    add(static_cast<std::uint64_t>(values.size()));
-    for (double value : values) add(value);
-  }
-  void add(const std::string& text) {
-    add(static_cast<std::uint64_t>(text.size()));
-    for (char c : text) add(static_cast<std::uint64_t>(c));
-  }
-  void add(const spice::TransientResult& result) {
-    add(result.times());
-    for (const auto& node : result.node_names()) {
-      add(node);
-      add(result.voltage_samples(node));
-    }
-    for (const auto& counter : spice::kSolverCounters) {
-      add(result.stats().*counter.field);
-    }
-  }
-  void add(const std::vector<physics::Trap>& traps) {
-    add(static_cast<std::uint64_t>(traps.size()));
-    for (const auto& trap : traps) {
-      add(trap.y_tr);
-      add(trap.e_tr);
-      add(static_cast<std::uint64_t>(trap.init_state));
-    }
-  }
-  void add(const core::StepTrace& trace) {
-    add(trace.initial_value());
-    add(trace.times());
-    add(trace.values());
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 std::uint64_t coupled_hash(const CoupledResult& result) {
   BitHash hash;
@@ -96,11 +47,12 @@ TEST(Coupled, GoldenHashes) {
   config.seed = 11;
   EXPECT_EQ(coupled_hash(run_coupled(config)), 0xa84a62767aec5c14ULL);
 
-  ColumnConfig column;
+  Array2dConfig column;
   column.tech = physics::technology("90nm");
-  column.num_cells = 2;
+  column.rows = 2;
+  column.cols = 1;
   column.initial_bits = {0, 1};
-  column.ops = {ColumnOp::write(0, 1), ColumnOp::read(0), ColumnOp::read(1)};
+  column.ops = {ArrayOp::write(0, {1}), ArrayOp::read(0), ArrayOp::read(1)};
   const auto result = run_coupled_column(column, 5, 30.0);
   BitHash hash;
   hash.add(result.transient);

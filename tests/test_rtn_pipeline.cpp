@@ -24,7 +24,6 @@
 #include "spice/parser.hpp"
 #include "spice/rtn_integration.hpp"
 #include "sram/array2d.hpp"
-#include "sram/column.hpp"
 #include "sram/methodology.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -326,12 +325,13 @@ TEST(RtnZeroAmplitude, MethodologySecondPassIsTheNominal) {
 }
 
 TEST(RtnZeroAmplitude, ColumnSecondPassIsTheNominal) {
-  sram::ColumnConfig config;
+  sram::Array2dConfig config;
   config.tech = physics::technology("90nm");
-  config.num_cells = 4;
+  config.rows = 4;
+  config.cols = 1;
   config.initial_bits = {0, 1, 1, 0};
-  config.ops = {sram::ColumnOp::write(0, 1), sram::ColumnOp::read(0),
-                sram::ColumnOp::read(2)};
+  config.ops = {sram::ArrayOp::write(0, {1}), sram::ArrayOp::read(0),
+                sram::ArrayOp::read(2)};
   const auto result = sram::run_column_rtn(config, 12, 0.0);
   ASSERT_EQ(result.rtn.traces.size(), 24u);
   expect_nominal_second_pass(result.rtn.nominal, result.rtn.with_rtn);
@@ -359,17 +359,18 @@ TEST(RtnZeroAmplitude, RingPeriodsAreTheNominals) {
 // ----------------------------------------------------------------- fan-out
 
 TEST(RtnPipelineFanOut, ColumnIsBitIdenticalInsideAPoolJob) {
-  sram::ColumnConfig config;
+  sram::Array2dConfig config;
   config.tech = physics::technology("90nm");
-  config.num_cells = 4;
+  config.rows = 4;
+  config.cols = 1;
   config.initial_bits = {0, 1, 1, 0};
-  config.ops = {sram::ColumnOp::write(0, 1), sram::ColumnOp::read(0),
-                sram::ColumnOp::read(1), sram::ColumnOp::read(3)};
+  config.ops = {sram::ArrayOp::write(0, {1}), sram::ArrayOp::read(0),
+                sram::ArrayOp::read(1), sram::ArrayOp::read(3)};
   // From this thread the 24 devices fan out over the pool (on a host with
   // more than one CPU); from inside a pool job the same call runs them
   // serially.
   const auto fanned = sram::run_column_rtn(config, 12, 60.0);
-  sram::ColumnRtnResult serial;
+  sram::Array2dRtnResult serial;
   util::parallel_for_indexed(
       2,
       [&](std::size_t i) {
@@ -392,8 +393,8 @@ TEST(RtnPipelineFanOut, ColumnIsBitIdenticalInsideAPoolJob) {
     expect_same_stats(a.stats, b.stats);
   }
   EXPECT_EQ(fanned.nominal_report.reads.size(), 3u);
-  const auto same_report = [](const sram::ColumnReport& a,
-                              const sram::ColumnReport& b) {
+  const auto same_report = [](const sram::Array2dReport& a,
+                              const sram::Array2dReport& b) {
     ASSERT_EQ(a.reads.size(), b.reads.size());
     ASSERT_EQ(a.writes.size(), b.writes.size());
     EXPECT_EQ(a.any_error, b.any_error);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "spice/devices.hpp"
-#include "sram/column.hpp"
+#include "sram/array2d.hpp"
 #include "sram/coupled.hpp"
 #include "sram/methodology.hpp"
 
@@ -33,20 +33,21 @@ sram::MethodologyConfig cell_config(spice::SolverKind solver) {
   return config;
 }
 
-sram::ColumnConfig column_config(std::size_t cells) {
-  sram::ColumnConfig config;
+sram::Array2dConfig column_config(std::size_t cells) {
+  sram::Array2dConfig config;
   config.tech = physics::technology("90nm");
-  config.num_cells = cells;
+  config.rows = cells;
+  config.cols = 1;
   config.initial_bits.assign(cells, 0);
   config.initial_bits[cells - 1] = 1;
-  config.ops = {sram::ColumnOp::write(0, 1), sram::ColumnOp::read(0),
-                sram::ColumnOp::read(cells - 1)};
+  config.ops = {sram::ArrayOp::write(0, {1}), sram::ArrayOp::read(0),
+                sram::ArrayOp::read(cells - 1)};
   return config;
 }
 
-spice::TransientResult run_column(const sram::ColumnConfig& config,
+spice::TransientResult run_column(const sram::Array2dConfig& config,
                                   spice::SolverKind solver,
-                                  sram::ColumnBuild* build_out = nullptr,
+                                  sram::Array2dBuild* build_out = nullptr,
                                   bool fixed_steps = false,
                                   spice::ActivityMode activity =
                                       spice::ActivityMode::kOff,
@@ -133,8 +134,8 @@ TEST(SparseSolver, CoupledCellMatchesDense) {
 }
 
 TEST(SparseSolver, ColumnMatchesDenseWithSameStepSequence) {
-  const sram::ColumnConfig config = column_config(8);
-  sram::ColumnBuild build;
+  const sram::Array2dConfig config = column_config(8);
+  sram::Array2dBuild build;
   const auto dense = run_column(config, spice::SolverKind::kDense, &build);
   const auto sparse = run_column(config, spice::SolverKind::kSparse);
   // Adaptive LTE control may diverge by a few accept decisions (the
@@ -148,13 +149,13 @@ TEST(SparseSolver, ColumnMatchesDenseWithSameStepSequence) {
   const double t_end =
       static_cast<double>(config.ops.size()) * sram::kSlotPeriod;
   for (const std::string& node :
-       {build.bl, build.blb, build.cells[0].q, build.cells[7].q}) {
+       {build.bl[0], build.blb[0], build.cells[0].q, build.cells[7].q}) {
     EXPECT_LT(max_waveform_diff(dense, sparse, node, t_end), 2e-4)
         << "node " << node;
   }
   // Identical op outcomes.
-  const auto dense_report = sram::check_column(dense, config, build);
-  const auto sparse_report = sram::check_column(sparse, config, build);
+  const auto dense_report = sram::check_array2d(dense, config, build);
+  const auto sparse_report = sram::check_array2d(sparse, config, build);
   EXPECT_EQ(dense_report.any_error, sparse_report.any_error);
   ASSERT_EQ(dense_report.reads.size(), sparse_report.reads.size());
   for (std::size_t i = 0; i < dense_report.reads.size(); ++i) {
@@ -168,8 +169,8 @@ TEST(SparseSolver, FixedStepColumnHasIdenticalStepSequence) {
   // With LTE control disabled both engines must accept exactly the same
   // time points — the contract the timed benchmark comparison relies on
   // so that a speedup never hides a different amount of work.
-  const sram::ColumnConfig config = column_config(8);
-  sram::ColumnBuild build;
+  const sram::Array2dConfig config = column_config(8);
+  sram::Array2dBuild build;
   const auto dense = run_column(config, spice::SolverKind::kDense, &build,
                                 /*fixed_steps=*/true);
   const auto sparse = run_column(config, spice::SolverKind::kSparse, nullptr,
@@ -179,7 +180,7 @@ TEST(SparseSolver, FixedStepColumnHasIdenticalStepSequence) {
   EXPECT_EQ(dense.stats().steps_rejected, sparse.stats().steps_rejected);
   const double t_end =
       static_cast<double>(config.ops.size()) * sram::kSlotPeriod;
-  for (const std::string& node : {build.bl, build.cells[0].q}) {
+  for (const std::string& node : {build.bl[0], build.cells[0].q}) {
     EXPECT_LT(max_waveform_diff(dense, sparse, node, t_end), 2e-4)
         << "node " << node;
   }
@@ -217,7 +218,7 @@ TEST(SparseSolver, CoupledColumnRunsOnSparseEngine) {
   // The coupled column couples every cell's live traps through one MNA
   // system; above the threshold it must land on the sparse engine and
   // still pass its own op sequence at zero injection scale.
-  sram::ColumnConfig config = column_config(8);
+  sram::Array2dConfig config = column_config(8);
   physics::TrapProfileOptions profile;
   profile.fixed_count = 1;
   const auto result = sram::run_coupled_column(config, 5, 0.0, profile);
@@ -231,10 +232,10 @@ TEST(SparseSolver, ThreadedColumnRunsAreBitIdentical) {
   // single-threaded reference: every voltage sample must be *bit*
   // identical — the engines keep all mutable state inside the workspace,
   // so concurrency must never change a result.
-  const sram::ColumnConfig config = column_config(8);
+  const sram::Array2dConfig config = column_config(8);
   for (const auto solver :
        {spice::SolverKind::kDense, spice::SolverKind::kSparse}) {
-    sram::ColumnBuild build;
+    sram::Array2dBuild build;
     const auto reference = run_column(config, solver, &build);
     constexpr int kThreads = 8;
     std::vector<spice::TransientResult> results(kThreads);
@@ -247,7 +248,7 @@ TEST(SparseSolver, ThreadedColumnRunsAreBitIdentical) {
     for (auto& thread : threads) thread.join();
     for (const auto& result : results) {
       ASSERT_EQ(result.times(), reference.times());
-      for (const std::string& node : {build.bl, build.cells[3].q}) {
+      for (const std::string& node : {build.bl[0], build.cells[3].q}) {
         ASSERT_EQ(result.voltage_samples(node),
                   reference.voltage_samples(node))
             << "solver " << static_cast<int>(solver) << " node " << node;
@@ -262,10 +263,10 @@ TEST(SparseSolver, ActivityElideIsBitIdenticalOnFixedGrid) {
   // device loads would have added them, and a partition without groups
   // keeps the unpartitioned elimination order, so every voltage sample
   // must match the unpartitioned sparse run bit for bit.
-  const sram::ColumnConfig config = column_config(8);
+  const sram::Array2dConfig config = column_config(8);
   const auto off =
       run_column(config, spice::SolverKind::kSparse, nullptr, true);
-  sram::ColumnBuild build;
+  sram::Array2dBuild build;
   const auto elide =
       run_column(config, spice::SolverKind::kSparse, &build, true,
                  spice::ActivityMode::kSchur, 0.0, /*fold=*/false);
@@ -297,8 +298,8 @@ TEST(SparseSolver, ActivityElideToleranceBoundsError) {
   // their inputs stay inside the tolerance ball, so a large fraction of
   // the evaluations is elided and the waveform error stays on the order
   // of the tolerance (far inside the dense-vs-sparse bound).
-  const sram::ColumnConfig config = column_config(8);
-  sram::ColumnBuild build;
+  const sram::Array2dConfig config = column_config(8);
+  sram::Array2dBuild build;
   const auto off =
       run_column(config, spice::SolverKind::kSparse, &build, true);
   const auto elide =
@@ -306,7 +307,7 @@ TEST(SparseSolver, ActivityElideToleranceBoundsError) {
                  spice::ActivityMode::kSchur, 1e-6, /*fold=*/false);
   const double t_end = off.times().back();
   for (const std::string& node :
-       {build.bl, build.blb, build.cells[3].q, build.cells[0].q}) {
+       {build.bl[0], build.blb[0], build.cells[3].q, build.cells[0].q}) {
     EXPECT_LT(max_waveform_diff(off, elide, node, t_end), 1e-4)
         << "node " << node;
   }
@@ -324,8 +325,8 @@ TEST(SparseSolver, ActivitySchurMatchesUnpartitioned) {
   // interiors first), which is a different—but still exact—LU of the same
   // Jacobian. Waveforms must agree with the unpartitioned sparse run
   // within the same tolerance the dense-vs-sparse tests use.
-  const sram::ColumnConfig config = column_config(8);
-  sram::ColumnBuild build;
+  const sram::Array2dConfig config = column_config(8);
+  sram::Array2dBuild build;
   const auto off =
       run_column(config, spice::SolverKind::kSparse, &build, true);
   const auto schur = run_column(config, spice::SolverKind::kSparse, nullptr,
@@ -335,7 +336,7 @@ TEST(SparseSolver, ActivitySchurMatchesUnpartitioned) {
   // Shared rails plus one quiescent cell's storage node: the fold must
   // not disturb either side of its boundary.
   for (const std::string& node :
-       {build.bl, build.blb, build.cells[3].q, build.cells[0].q}) {
+       {build.bl[0], build.blb[0], build.cells[3].q, build.cells[0].q}) {
     EXPECT_LT(max_waveform_diff(off, schur, node, t_end), 2e-4)
         << "node " << node;
   }
