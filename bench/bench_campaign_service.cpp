@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -58,14 +59,32 @@ campaign::ShardResult synthetic_shard(std::uint64_t index) {
   return shard;
 }
 
+void usage() {
+  std::fprintf(stderr,
+               "usage: bench_campaign_service [--quick] [--lease-cycles N] "
+               "[--append-lines N] [--workers N]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool quick = cli.has("quick");
-  const int lease_cycles = static_cast<int>(cli.get_count("lease-cycles", quick ? 200 : 2000));
-  const int append_lines = static_cast<int>(cli.get_count("append-lines", quick ? 200 : 2000));
-  const int workers = static_cast<int>(cli.get_count("workers", 4));
+  int lease_cycles = 0;
+  int append_lines = 0;
+  int workers = 0;
+  try {
+    cli.require_declared({"quick", "lease-cycles", "append-lines", "workers"});
+    lease_cycles =
+        static_cast<int>(cli.get_count("lease-cycles", quick ? 200 : 2000));
+    append_lines =
+        static_cast<int>(cli.get_count("append-lines", quick ? 200 : 2000));
+    workers = static_cast<int>(cli.get_count("workers", 4));
+  } catch (const std::invalid_argument& err) {
+    std::fprintf(stderr, "bench_campaign_service: %s\n", err.what());
+    usage();
+    return 2;
+  }
 
   const std::string root =
       (std::filesystem::temp_directory_path() /

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <stdexcept>
 
 #include "campaign/runner.hpp"
 #include "campaign/shard.hpp"
@@ -27,6 +28,15 @@ double time_estimate(const sram::ImportanceConfig& config,
       .count();
 }
 
+void usage() {
+  std::fprintf(stderr,
+               "usage: bench_importance [--samples N] [--threads N] "
+               "[--scaling-samples N] [--node N] [--vdd V] [--scale S] "
+               "[--sigma-vt V] [--seed S] [--nominal-only] "
+               "[--campaign-budget N] [--campaign-shard N] "
+               "[--campaign-sigma V] [--campaign-shift V] [--target-rhw R]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -35,8 +45,15 @@ int main(int argc, char** argv) {
   std::size_t scaling_samples = 0;
   std::uint64_t campaign_budget = 0;
   std::uint64_t campaign_shard = 0;
-  // Counts are read before any simulation, so a bad one fails at once.
+  double campaign_sigma = 0.0;
+  double campaign_shift = 0.0;
+  double target_rhw = 0.0;
+  // Options are read before any simulation, so a bad one fails at once.
   try {
+    cli.require_declared({"samples", "threads", "scaling-samples", "node",
+                          "vdd", "scale", "sigma-vt", "seed", "nominal-only",
+                          "campaign-budget", "campaign-shard",
+                          "campaign-sigma", "campaign-shift", "target-rhw"});
     config.samples = static_cast<std::size_t>(cli.get_count("samples", 120));
     config.threads = static_cast<std::size_t>(cli.get_count("threads", 8));
     scaling_samples =
@@ -45,18 +62,22 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_count("campaign-budget", 120));
     campaign_shard =
         static_cast<std::uint64_t>(cli.get_count("campaign-shard", 12));
+    config.cell.tech = physics::technology(cli.get_string("node", "90nm"));
+    config.cell.tech.v_dd = cli.get_double("vdd", 0.97);
+    config.cell.rtn_scale = cli.get_double("scale", 30.0);
+    config.sigma_vt = cli.get_double("sigma-vt", 0.03);
+    config.seed = cli.get_seed("seed", 31);
+    campaign_sigma = cli.get_double("campaign-sigma", 0.2);
+    campaign_shift = cli.get_double("campaign-shift", 0.09);
+    target_rhw = cli.get_double("target-rhw", 0.5);
   } catch (const std::invalid_argument& error) {
     std::fprintf(stderr, "bench_importance: %s\n", error.what());
+    usage();
     return 2;
   }
-  config.cell.tech = physics::technology(cli.get_string("node", "90nm"));
-  config.cell.tech.v_dd = cli.get_double("vdd", 0.97);
   config.cell.sizing.extra_node_cap = 40e-15;
   config.cell.timing.period = 1e-9;
   config.cell.ops = sram::ops_from_bits({1, 0});
-  config.cell.rtn_scale = cli.get_double("scale", 30.0);
-  config.sigma_vt = cli.get_double("sigma-vt", 0.03);
-  config.seed = cli.get_seed("seed", 31);
   config.with_rtn = !cli.has("nominal-only");
 
   std::printf("=== Rare write-failure estimation: naive MC vs importance "
@@ -132,9 +153,8 @@ int main(int argc, char** argv) {
     manifest.rtn_scale = config.cell.rtn_scale;
     // Wider variation than the rare-event sweep above: the CI must be able
     // to tighten within the demo budget for the stopping rule to fire.
-    manifest.sigma_vt = cli.get_double("campaign-sigma", 0.2);
-    manifest.shift[0] = manifest.shift[1] =
-        cli.get_double("campaign-shift", 0.09);
+    manifest.sigma_vt = campaign_sigma;
+    manifest.shift[0] = manifest.shift[1] = campaign_shift;
     manifest.seed = config.seed;
     manifest.with_rtn = config.with_rtn;
     manifest.threads = config.threads;
@@ -146,7 +166,7 @@ int main(int argc, char** argv) {
     full.target_rel_half_width = 0.0;
     const auto full_run = campaign::run_campaign(full);
 
-    manifest.target_rel_half_width = cli.get_double("target-rhw", 0.5);
+    manifest.target_rel_half_width = target_rhw;
     const auto early = campaign::run_campaign(manifest);
 
     const bool agrees = full_run.estimate >= early.ci.lo &&

@@ -124,6 +124,10 @@ void print_mode_json(const char* key, const ModeReport& r,
       r.candidates_per_sec / static_cast<double>(total_traps));
 }
 
+void usage() {
+  std::fprintf(stderr, "usage: bench_rtn_generation [--quick] [--passes N]\n");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -131,9 +135,11 @@ int main(int argc, char** argv) {
   const bool quick = cli.has("quick");
   int passes = 0;
   try {
+    cli.require_declared({"quick", "passes"});
     passes = static_cast<int>(cli.get_count("passes", quick ? 5 : 40));
   } catch (const std::invalid_argument& err) {
     std::fprintf(stderr, "bench_rtn_generation: %s\n", err.what());
+    usage();
     return 2;
   }
   const int batches = quick ? 2 : 5;

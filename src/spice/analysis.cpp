@@ -56,6 +56,14 @@ std::size_t sweep_chunks(std::size_t items, std::size_t grain) {
   return (items + grain - 1) / grain;
 }
 
+/// max(m, |v|) for the Newton norms, keeping a NaN once one is seen
+/// (std::max drops it), so a non-finite residual or update cannot pass
+/// the convergence test. Equal to std::max(m, |v|) on finite values.
+double max_abs(double m, double v) {
+  const double a = std::abs(v);
+  return a > m || std::isnan(a) ? a : m;
+}
+
 /// For each target in [0, targets), the program positions p with
 /// target_of[p] == target, in program order (a stable counting sort into
 /// CSR form).
@@ -88,6 +96,7 @@ void NewtonWorkspace::attach(Circuit& circuit, SolverKind solver,
     base_res_.assign(n, 0.0);
     delta_.assign(n, 0.0);
     zero_x_.assign(n, 0.0);
+    x_.assign(n, 0.0);
     x_new_.assign(n, 0.0);
     x_prev_.assign(n, 0.0);
     x_pred_.assign(n, 0.0);
@@ -596,10 +605,9 @@ RowNorms NewtonDriver::sweep_rows(NewtonWorkspace& ws,
                    ws.ap_res_vals_, i);
       ws.residual_[i] = acc;
       if (i < nodes) {
-        part.max_residual = std::max(part.max_residual, std::abs(acc));
+        part.max_residual = max_abs(part.max_residual, acc);
       } else {
-        part.max_branch_residual =
-            std::max(part.max_branch_residual, std::abs(acc));
+        part.max_branch_residual = max_abs(part.max_branch_residual, acc);
       }
     }
     ws.ap_partials_[chunk] = part;
@@ -609,44 +617,50 @@ RowNorms NewtonDriver::sweep_rows(NewtonWorkspace& ws,
   RowNorms norms;
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
     const auto& part = ws.ap_partials_[chunk];
-    norms.max_residual = std::max(norms.max_residual, part.max_residual);
+    norms.max_residual = max_abs(norms.max_residual, part.max_residual);
     norms.max_branch_residual =
-        std::max(norms.max_branch_residual, part.max_branch_residual);
+        max_abs(norms.max_branch_residual, part.max_branch_residual);
     norms.jac_max_abs = std::max(norms.jac_max_abs, part.jac_max_abs);
   }
   return norms;
 }
 
 void NewtonDriver::commit_step(NewtonWorkspace& ws, TransientResult& result,
-                               double t, std::span<const double> x, double a0,
-                               double ci) {
+                               const ClockStep& step) {
+  ++ws.stats_.steps_accepted;
+  const std::span<const double> x = ws.x_new_;
+  const double a0 = step.a0;
+  const double ci = step.ci;
   const std::size_t nodes =
       std::min(ws.circuit_->num_nodes(), result.samples_.size());
   if (ws.ap_mode_ == ActivityMode::kOff) {
     for (Device* device : ws.devices_) device->commit(x, a0, ci);
-    result.record(t, x, nodes);
-    return;
-  }
-  result.open_record(t);
-  const std::size_t device_chunks =
-      sweep_chunks(ws.devices_.size(), kDeviceGrain);
-  util::sweep(device_chunks + sweep_chunks(nodes, kRowGrain), ws.ap_threads_,
-              [&](std::size_t chunk) {
-                if (chunk < device_chunks) {
-                  const std::size_t first = chunk * kDeviceGrain;
-                  const std::size_t last =
-                      std::min(ws.devices_.size(), first + kDeviceGrain);
-                  for (std::size_t d = first; d < last; ++d) {
-                    ws.devices_[d]->commit(x, a0, ci);
+    result.record(step.t_next, x, nodes);
+  } else {
+    result.open_record(step.t_next);
+    const std::size_t device_chunks =
+        sweep_chunks(ws.devices_.size(), kDeviceGrain);
+    util::sweep(device_chunks + sweep_chunks(nodes, kRowGrain),
+                ws.ap_threads_, [&](std::size_t chunk) {
+                  if (chunk < device_chunks) {
+                    const std::size_t first = chunk * kDeviceGrain;
+                    const std::size_t last =
+                        std::min(ws.devices_.size(), first + kDeviceGrain);
+                    for (std::size_t d = first; d < last; ++d) {
+                      ws.devices_[d]->commit(x, a0, ci);
+                    }
+                    return;
                   }
-                  return;
-                }
-                const std::size_t first = (chunk - device_chunks) * kRowGrain;
-                const std::size_t last = std::min(nodes, first + kRowGrain);
-                for (std::size_t i = first; i < last; ++i) {
-                  result.record_node(i, x[i]);
-                }
-              });
+                  const std::size_t first =
+                      (chunk - device_chunks) * kRowGrain;
+                  const std::size_t last = std::min(nodes, first + kRowGrain);
+                  for (std::size_t i = first; i < last; ++i) {
+                    result.record_node(i, x[i]);
+                  }
+                });
+  }
+  ws.x_prev_.swap(ws.x_);
+  ws.x_.swap(ws.x_new_);
 }
 
 void NewtonDriver::recompute_ap_floors(NewtonWorkspace& ws) {
@@ -702,12 +716,15 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
     max_branch_residual = swept->max_branch_residual;
   } else {
     for (std::size_t i = 0; i < nodes; ++i) {
-      max_residual = std::max(max_residual, std::abs(ws.residual_[i]));
+      max_residual = max_abs(max_residual, ws.residual_[i]);
     }
     for (std::size_t i = nodes; i < n; ++i) {
-      max_branch_residual =
-          std::max(max_branch_residual, std::abs(ws.residual_[i]));
+      max_branch_residual = max_abs(max_branch_residual, ws.residual_[i]);
     }
+  }
+  if (!std::isfinite(max_residual) || !std::isfinite(max_branch_residual)) {
+    result.non_finite = true;
+    return result;
   }
   const double scaled = std::max(max_residual / kAbsTol,
                                  max_branch_residual / kVnTol);
@@ -785,13 +802,17 @@ IterationResult NewtonDriver::finish_iteration(NewtonWorkspace& ws,
   // get a relative+absolute convergence check of their own.
   double max_dv = 0.0;
   for (std::size_t i = 0; i < nodes; ++i) {
-    max_dv = std::max(max_dv, std::abs(ws.delta_[i]));
+    max_dv = max_abs(max_dv, ws.delta_[i]);
   }
   double max_di = 0.0;
   double max_i = 0.0;
   for (std::size_t i = nodes; i < n; ++i) {
-    max_di = std::max(max_di, std::abs(ws.delta_[i]));
+    max_di = max_abs(max_di, ws.delta_[i]);
     max_i = std::max(max_i, std::abs(x[i]));
+  }
+  if (!std::isfinite(max_dv) || !std::isfinite(max_di)) {
+    result.non_finite = true;
+    return result;
   }
   const double damp = max_dv > kDvLimit ? kDvLimit / max_dv : 1.0;
   for (std::size_t i = 0; i < n; ++i) x[i] -= damp * ws.delta_[i];
@@ -813,7 +834,7 @@ NewtonOutcome NewtonDriver::solve(NewtonWorkspace& ws, std::vector<double>& x,
 
   NewtonOutcome outcome;
   double prev_scaled = std::numeric_limits<double>::infinity();
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxNewtonIterations; ++iter) {
     outcome.iterations = iter + 1;
     ++st.newton_iterations;
 
@@ -832,7 +853,7 @@ NewtonOutcome NewtonDriver::solve(NewtonWorkspace& ws, std::vector<double>& x,
       }
       r = finish_iteration(ws, x, options, iter, prev_scaled);
     }
-    if (r.singular) return outcome;
+    if (r.singular || r.non_finite) return outcome;
     if (r.converged) {
       outcome.converged = true;
       return outcome;
@@ -972,58 +993,97 @@ namespace detail {
 
 std::vector<double> NewtonDriver::collect_breakpoints(
     Circuit& circuit, const TransientOptions& options) {
-  const double span = options.t_stop - options.t_start;
-  // Breakpoints: source corners + caller extras, clipped to the window.
   std::vector<double> breakpoints = options.extra_breakpoints;
   for (const auto& device : circuit.devices()) {
     device->collect_breakpoints(breakpoints);
   }
   breakpoints.push_back(options.t_stop);
+  dedupe_breakpoints(breakpoints, options);
+  return breakpoints;
+}
+
+void NewtonDriver::dedupe_breakpoints(std::vector<double>& breakpoints,
+                                      const TransientOptions& options) {
+  const double span = options.t_stop - options.t_start;
   std::sort(breakpoints.begin(), breakpoints.end());
   breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end(),
                                 [&](double a, double b) {
                                   return std::abs(a - b) < span * 1e-12;
                                 }),
                     breakpoints.end());
-  return breakpoints;
 }
 
-std::vector<GridStep> NewtonDriver::plan_fixed_grid(
-    const TransientOptions& options, double dt_max,
-    std::span<const double> breakpoints) {
-  const double span = options.t_stop - options.t_start;
-  std::vector<GridStep> plan;
-  plan.reserve(static_cast<std::size_t>(span / dt_max) + breakpoints.size() +
-               2);
-  double t = options.t_start;
-  bool after_discontinuity = true;  // force BE on the first step
-  std::size_t bp_index = 0;
-  while (bp_index < breakpoints.size() &&
-         breakpoints[bp_index] <= t + span * 1e-12) {
-    ++bp_index;
+StepClock::StepClock(const TransientOptions& options,
+                     std::span<const double> breakpoints)
+    : breakpoints_(breakpoints),
+      t_(options.t_start),
+      t_stop_(options.t_stop),
+      span_(options.t_stop - options.t_start),
+      dt_max_(options.dt_max > 0.0 ? options.dt_max : span_ / 200.0) {
+  while (next_bp_ < breakpoints_.size() &&
+         breakpoints_[next_bp_] <= t_ + span_ * 1e-12) {
+    ++next_bp_;
   }
-  while (t < options.t_stop - span * 1e-12) {
-    bool hit_breakpoint = false;
-    double step = dt_max;
-    if (bp_index < breakpoints.size()) {
-      const double to_bp = breakpoints[bp_index] - t;
-      if (step >= to_bp - options.dt_min) {
-        step = to_bp;
-        hit_breakpoint = true;
-      }
+}
+
+ClockStep StepClock::take(double proposed) const {
+  ClockStep step;
+  step.h = proposed;
+  if (next_bp_ < breakpoints_.size()) {
+    const double to_bp = breakpoints_[next_bp_] - t_;
+    if (step.h >= to_bp - kDtMin) {
+      step.h = to_bp;
+      step.hit_breakpoint = true;
     }
-    if (t + step > options.t_stop) step = options.t_stop - t;
-    if (!(step > 0.0)) {
-      throw std::runtime_error("transient: fixed-grid step underflow");
-    }
-    const bool use_be = after_discontinuity ||
-                        options.method == IntegrationMethod::kBackwardEuler;
-    t += step;
-    plan.push_back(GridStep{t, step, use_be, hit_breakpoint});
-    after_discontinuity = hit_breakpoint;
-    if (hit_breakpoint) ++bp_index;
   }
-  return plan;
+  if (t_ + step.h > t_stop_) step.h = t_stop_ - t_;
+  step.t_next = t_ + step.h;
+  step.a0 = after_discontinuity_ ? 1.0 / step.h : 2.0 / step.h;
+  step.ci = after_discontinuity_ ? 0.0 : -1.0;
+  if (dt_prev_ > 0.0 && !after_discontinuity_) step.growth = step.h / dt_prev_;
+  return step;
+}
+
+void StepClock::accept(const ClockStep& step) {
+  t_ = step.t_next;
+  dt_prev_ = step.h;
+  after_discontinuity_ = step.hit_breakpoint;
+  if (step.hit_breakpoint) ++next_bp_;
+}
+
+TransientResult NewtonDriver::start_transient(
+    NewtonWorkspace& ws, Circuit& circuit, const TransientOptions& options,
+    const StepClock& clock, const std::string& dc_failure) {
+  const auto dc_result = dc(ws, circuit, options.dc);
+  if (!dc_result.converged) throw std::runtime_error(dc_failure);
+  ws.x_ = dc_result.x;
+  ws.x_prev_ = ws.x_;
+  for (auto& device : circuit.devices()) device->reset_history();
+  for (auto& device : circuit.devices()) device->commit(ws.x_, 0.0, 0.0);
+  TransientResult result(circuit.node_names());
+  result.reserve(clock.points_estimate());
+  result.record(options.t_start, ws.x_, circuit.num_nodes());
+  return result;
+}
+
+void NewtonDriver::predict(NewtonWorkspace& ws, const ClockStep& step) {
+  const std::vector<double>& x = ws.x_;
+  ws.x_new_ = x;
+  if (step.growth > 0.0) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ws.x_pred_[i] = x[i] + (x[i] - ws.x_prev_[i]) * step.growth;
+      ws.x_new_[i] = ws.x_pred_[i];
+    }
+  }
+}
+
+void NewtonDriver::finish_transient(NewtonWorkspace& ws,
+                                    const SolverStats& before,
+                                    TransientResult& result) {
+  ++ws.stats_.transients;
+  const SolverStats delta = ws.stats_.since(before);
+  result.set_stats(delta);
+  solver_stats_accumulate(delta);
 }
 
 TransientResult NewtonDriver::run_transient(Circuit& circuit,
@@ -1036,173 +1096,74 @@ TransientResult NewtonDriver::run_transient(Circuit& circuit,
   ws.attach(circuit, options.solver, &options.activity);
   SolverStats& st = ws.stats_;
 
-  const std::size_t nodes = circuit.num_nodes();
-  const double span = options.t_stop - options.t_start;
-  const double dt_max = options.dt_max > 0.0 ? options.dt_max : span / 200.0;
-
-  // Initial operating point at t_start.
-  auto dc_result = detail::NewtonDriver::dc(ws, circuit, options.dc);
-  if (!dc_result.converged) {
-    throw std::runtime_error("transient: DC operating point did not converge");
-  }
-  std::vector<double> x = dc_result.x;
-  for (auto& device : circuit.devices()) device->reset_history();
-  for (auto& device : circuit.devices()) device->commit(x, 0.0, 0.0);
-
   const std::vector<double> breakpoints = collect_breakpoints(circuit, options);
+  StepClock clock(options, breakpoints);
+  TransientResult result =
+      start_transient(ws, circuit, options, clock,
+                      "transient: DC operating point did not converge");
+  const double dt_max = clock.dt_max();
+  const std::size_t nodes = circuit.num_nodes();
+  const std::vector<double>& x = ws.x_;
+  const std::vector<double>& x_new = ws.x_new_;
+  const std::vector<double>& x_pred = ws.x_pred_;
 
-  TransientResult result(circuit.node_names());
-
-  if (options.fixed_grid) {
-    // Fixed-grid mode: the step sequence is planned up front (identical
-    // for any run with the same options — the batched engine's lock-step
-    // contract), Newton failures throw instead of rejecting, and the LTE
-    // machinery is skipped entirely.
-    const auto plan = plan_fixed_grid(options, dt_max, breakpoints);
-    result.reserve(plan.size() + 1);
-    result.record(options.t_start, x, nodes);
-    std::vector<double>& x_prev = ws.x_prev_;
-    std::vector<double>& x_pred = ws.x_pred_;
-    std::vector<double>& x_new = ws.x_new_;
-    x_prev = x;
-    double dt_prev = 0.0;
-    bool after_discontinuity = true;
-    for (const GridStep& gs : plan) {
-      const double a0 = gs.use_be ? 1.0 / gs.step : 2.0 / gs.step;
-      const double ci = gs.use_be ? 0.0 : -1.0;
-      const bool have_predictor = dt_prev > 0.0 && !after_discontinuity;
-      x_new = x;
-      if (have_predictor) {
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          x_pred[i] = x[i] + (x[i] - x_prev[i]) * (gs.step / dt_prev);
-          x_new[i] = x_pred[i];
-        }
-      }
-      const auto outcome = solve(ws, x_new, gs.t_next, a0, ci, options.newton,
-                                 kGmin, {});
-      if (!outcome.converged) {
-        throw std::runtime_error(
-            "transient: Newton did not converge on the fixed grid at t=" +
-            std::to_string(gs.t_next));
-      }
-      ++st.steps_accepted;
-      commit_step(ws, result, gs.t_next, x_new, a0, ci);
-      x_prev = x;
-      x.swap(x_new);
-      dt_prev = gs.step;
-      if (options.on_step) options.on_step(gs.t_next, x);
-      after_discontinuity = gs.hit_breakpoint;
-    }
-    ++st.transients;
-    const SolverStats delta = ws.stats_.since(stats_before);
-    result.set_stats(delta);
-    solver_stats_accumulate(delta);
-    return result;
-  }
-
-  // Every step is at most dt_max and each breakpoint may add one, so
-  // this is the point count of a run the LTE control never cuts short;
-  // a run that takes more steps grows from there.
-  result.reserve(static_cast<std::size_t>(span / dt_max) +
-                 breakpoints.size() + 2);
-  result.record(options.t_start, x, nodes);
-
-  double t = options.t_start;
-  double dt = std::min(options.dt_initial, dt_max);
-  double dt_prev = 0.0;
-  bool after_discontinuity = true;  // force BE on the first step
-
-  std::size_t bp_index = 0;
-  while (bp_index < breakpoints.size() && breakpoints[bp_index] <= t + span * 1e-12) {
-    ++bp_index;
-  }
-
+  // The fixed grid proposes dt_max every step, takes every step it
+  // proposes and throws on a Newton failure; the adaptive loop rejects a
+  // step on a Newton failure or an LTE excess, retries at a quarter of it
+  // and sizes the next one from the predictor/corrector difference.
+  // Steady-state loop: every buffer belongs to the workspace or was sized
+  // before the loop — zero heap allocations per step (asserted via
+  // stats().workspace_allocations).
   const int max_rejects = 60;
   int rejects = 0;
-  // Steady-state loop: every buffer below belongs to the workspace or was
-  // sized before the loop — zero heap allocations per step (asserted via
-  // stats().workspace_allocations).
-  std::vector<double>& x_prev = ws.x_prev_;  // solution at t - dt_prev
-  std::vector<double>& x_pred = ws.x_pred_;
-  std::vector<double>& x_new = ws.x_new_;
-  x_prev = x;
-  while (t < options.t_stop - span * 1e-12) {
-    bool hit_breakpoint = false;
-    double step = std::min(dt, dt_max);
-    if (bp_index < breakpoints.size()) {
-      const double to_bp = breakpoints[bp_index] - t;
-      if (step >= to_bp - options.dt_min) {
-        step = to_bp;
-        hit_breakpoint = true;
-      }
+  double dt =
+      options.fixed_grid ? dt_max : std::min(options.dt_initial, dt_max);
+  while (!clock.done()) {
+    const ClockStep step = clock.take(dt);
+    predict(ws, step);
+    const auto outcome = solve(ws, ws.x_new_, step.t_next, step.a0, step.ci,
+                               options.newton, kGmin, {});
+    if (options.fixed_grid && !outcome.converged) {
+      throw std::runtime_error(
+          "transient: Newton did not converge on the fixed grid at t=" +
+          std::to_string(step.t_next));
     }
-    if (t + step > options.t_stop) step = options.t_stop - t;
-
-    const bool use_be = after_discontinuity ||
-                        options.method == IntegrationMethod::kBackwardEuler;
-    const double a0 = use_be ? 1.0 / step : 2.0 / step;
-    const double ci = use_be ? 0.0 : -1.0;
-
-    // Predictor: linear extrapolation (also the warm start).
-    const bool have_predictor = dt_prev > 0.0 && !after_discontinuity;
-    x_new = x;
-    if (have_predictor) {
-      for (std::size_t i = 0; i < x.size(); ++i) {
-        x_pred[i] = x[i] + (x[i] - x_prev[i]) * (step / dt_prev);
-        x_new[i] = x_pred[i];
-      }
-    }
-
-    const auto outcome = detail::NewtonDriver::solve(
-        ws, x_new, t + step, a0, ci, options.newton, kGmin, {});
     bool accept = outcome.converged;
     double err_ratio = 0.0;
-    if (accept && have_predictor) {
+    if (accept && step.growth > 0.0 && !options.fixed_grid) {
       for (std::size_t i = 0; i < nodes; ++i) {
         const double tol = options.lte_reltol *
                                std::max(std::abs(x_new[i]), std::abs(x[i])) +
                            options.lte_abstol;
         err_ratio = std::max(err_ratio, std::abs(x_new[i] - x_pred[i]) / tol);
       }
-      if (err_ratio > 10.0 && step > 4.0 * options.dt_min && !hit_breakpoint) {
+      if (err_ratio > 10.0 && step.h > 4.0 * kDtMin && !step.hit_breakpoint) {
         accept = false;
       }
     }
-
     if (!accept) {
       ++st.steps_rejected;
       ws.lu_valid_ = false;  // retry with a fresh factorization
-      if (++rejects > max_rejects || step <= 2.0 * options.dt_min) {
+      if (++rejects > max_rejects || step.h <= 2.0 * kDtMin) {
         throw std::runtime_error("transient: step size underflow at t=" +
-                                 std::to_string(t));
+                                 std::to_string(clock.t()));
       }
-      dt = step / 4.0;
+      dt = step.h / 4.0;
       continue;
     }
     rejects = 0;
-    ++st.steps_accepted;
-
-    commit_step(ws, result, t + step, x_new, a0, ci);
-    x_prev = x;
-    x.swap(x_new);
-    dt_prev = step;
-    t += step;
-    if (options.on_step) options.on_step(t, x);
-
-    after_discontinuity = hit_breakpoint;
-    if (hit_breakpoint) ++bp_index;
-
-    // Step-size controller from the predictor/corrector difference.
-    double grow = 1.5;
-    if (have_predictor && err_ratio > 0.0) {
-      grow = std::clamp(std::sqrt(1.0 / err_ratio), 0.3, 2.0);
+    commit_step(ws, result, step);
+    clock.accept(step);
+    if (options.on_step) options.on_step(step.t_next, x);
+    if (!options.fixed_grid) {
+      double grow = 1.5;
+      if (step.growth > 0.0 && err_ratio > 0.0) {
+        grow = std::clamp(std::sqrt(1.0 / err_ratio), 0.3, 2.0);
+      }
+      dt = std::clamp(step.h * grow, kDtMin, dt_max);
     }
-    dt = std::clamp(step * grow, options.dt_min, dt_max);
   }
-  ++st.transients;
-  const SolverStats delta = ws.stats_.since(stats_before);
-  result.set_stats(delta);
-  solver_stats_accumulate(delta);
+  finish_transient(ws, stats_before, result);
   return result;
 }
 

@@ -215,6 +215,7 @@ class NewtonWorkspace {
   std::vector<double> base_res_;  ///< linear residual offset f_lin(0)
   std::vector<double> delta_;
   std::vector<double> zero_x_;
+  std::vector<double> x_;       ///< accepted solution (transients)
   std::vector<double> x_new_;
   std::vector<double> x_prev_;
   std::vector<double> x_pred_;
@@ -323,10 +324,12 @@ class NewtonWorkspace {
   SolverStats stats_;
 };
 
-/// Newton's tolerances, damping clamp and bypass contraction are constants
-/// in analysis.cpp (DESIGN.md §10).
+/// Newton iterations per solve before it reports non-convergence. The
+/// tolerances, damping clamp and bypass contraction are constants in
+/// analysis.cpp (DESIGN.md §10).
+inline constexpr int kMaxNewtonIterations = 200;
+
 struct NewtonOptions {
-  int max_iterations = 200;
   /// Modified-Newton LU reuse: within a solve, keep the previous
   /// iteration's factorization and re-solve against it while the scaled
   /// residual contracts by at least half per iteration; refactorize on
@@ -362,15 +365,18 @@ struct DcResult {
 /// circuit's size (a transient's initial DC uses TransientOptions::solver).
 DcResult dc_operating_point(Circuit& circuit, const DcOptions& options = {});
 
-enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
+/// Smallest step, s, the adaptive controller sizes a step to after an
+/// accepted one; a proposal within kDtMin of the next breakpoint lands on
+/// it, and a rejected step of at most twice this throws (underflow).
+inline constexpr double kDtMin = 1e-17;
 
+/// Every transient integrates with the trapezoidal rule, and with backward
+/// Euler on its first step and on the step after each breakpoint.
 struct TransientOptions {
   double t_start = 0.0;
   double t_stop = 0.0;     ///< required
   double dt_initial = 1e-12;
-  double dt_min = 1e-17;
   double dt_max = 0.0;     ///< 0 = (t_stop - t_start) / 200
-  IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   NewtonOptions newton;
   DcOptions dc;            ///< initial operating point (nodeset etc.)
   /// Linear-engine selection for the whole transient (initial DC
@@ -379,14 +385,14 @@ struct TransientOptions {
   SolverKind solver = SolverKind::kAuto;
   double lte_reltol = 2e-3;
   double lte_abstol = 1e-5;
-  /// Fixed-grid step mode: march dt_max-sized steps clipped to each
-  /// breakpoint, with no LTE estimation, no step rejection and no
-  /// controller (dt_initial is ignored; a Newton failure throws instead
-  /// of shrinking the step). The accepted-step sequence is then a pure
-  /// function of (t_start, t_stop, dt_max, breakpoints), which is the
-  /// lock-step contract the batched engine builds on: every lane of a
-  /// batch — and a scalar rerun with the same options — takes *exactly*
-  /// the same steps. See DESIGN.md §13.
+  /// Fixed-grid step mode of the one step loop: every proposed step is
+  /// dt_max (then clipped to each breakpoint), with no LTE test, no step
+  /// rejection and no controller (dt_initial is ignored; a Newton failure
+  /// throws instead of shrinking the step). The accepted-step
+  /// sequence is then a pure function of (t_start, t_stop, dt_max,
+  /// breakpoints), which is the lock-step contract the batched engine
+  /// builds on: every lane of a batch — and a scalar rerun with the same
+  /// options — takes *exactly* the same steps. See DESIGN.md §13.
   bool fixed_grid = false;
   /// Extra mandatory time points (e.g. RTN switch instants).
   std::vector<double> extra_breakpoints;
@@ -406,8 +412,7 @@ class TransientResult {
 
   void record(double t, std::span<const double> x, std::size_t num_nodes);
 
-  /// Pre-size the per-node sample buffers (the fixed-grid drivers know
-  /// the exact point count up front, so recording never reallocates).
+  /// Pre-size the per-node sample buffers for `points` samples.
   void reserve(std::size_t points);
 
   const std::vector<double>& times() const noexcept { return times_; }

@@ -1,7 +1,6 @@
 #include "spice/batch.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -33,7 +32,7 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
   if (!options.fixed_grid) {
     throw std::invalid_argument(
         "transient_batch: requires options.fixed_grid (the lock-step "
-        "contract needs a deterministic shared step plan)");
+        "contract needs one deterministic step sequence)");
   }
   if (options.on_step) {
     throw std::invalid_argument(
@@ -53,7 +52,6 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
   // ---- Bind one scalar workspace per lane. Snapshot each lane's stats
   // before its attach so the per-lane delta matches a scalar run's.
   bw.lanes_.resize(lanes);
-  bw.x_.resize(lanes);
   bw.prev_scaled_.assign(lanes, 0.0);
   std::vector<SolverStats> stats_before(lanes);
   for (std::size_t k = 0; k < lanes; ++k) {
@@ -113,86 +111,61 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
     bw.slots_[s].assign(slot_models);
   }
 
-  // ---- Per-lane DC operating point. On the sparse engine, lane 0 pays
-  // the one symbolic analysis and every later lane adopts it (identical
-  // Jacobian pattern by the topology checks above), so its first
-  // factorization is a numeric refactor.
-  for (std::size_t k = 0; k < lanes; ++k) {
-    NewtonWorkspace& ws = bw.lanes_[k];
-    if (k > 0 && ws.use_sparse_ && bw.lanes_[0].use_sparse_) {
-      ws.sp_lu_.adopt_analysis_from(bw.lanes_[0].sp_lu_);
-    }
-    const auto dc_result = dc(ws, *circuits[k], options.dc);
-    if (!dc_result.converged) {
-      throw std::runtime_error("transient_batch: DC operating point did "
-                               "not converge in lane " + std::to_string(k));
-    }
-    bw.x_[k] = dc_result.x;
-    for (auto& device : circuits[k]->devices()) device->reset_history();
-    for (auto& device : circuits[k]->devices()) {
-      device->commit(bw.x_[k], 0.0, 0.0);
-    }
-  }
-
-  // ---- One shared step plan over the union of every lane's breakpoints.
-  // A lane whose own breakpoint set is a subset simply takes a few extra
+  // ---- One step clock over the union of every lane's breakpoints. A
+  // lane whose own breakpoint set is a subset simply takes a few extra
   // (exact) steps; the union keeps the accepted-step sequence common, so
   // a scalar rerun with the union as extra_breakpoints reproduces any
   // lane exactly.
-  const double span = options.t_stop - options.t_start;
-  const double dt_max = options.dt_max > 0.0 ? options.dt_max : span / 200.0;
   std::vector<double> breakpoints;
   for (std::size_t k = 0; k < lanes; ++k) {
     const auto lane_bps = collect_breakpoints(*circuits[k], options);
     breakpoints.insert(breakpoints.end(), lane_bps.begin(), lane_bps.end());
   }
-  std::sort(breakpoints.begin(), breakpoints.end());
-  breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end(),
-                                [&](double a, double b) {
-                                  return std::abs(a - b) < span * 1e-12;
-                                }),
-                    breakpoints.end());
-  const auto plan = plan_fixed_grid(options, dt_max, breakpoints);
+  dedupe_breakpoints(breakpoints, options);
+  StepClock clock(options, breakpoints);
 
+  // ---- Per-lane DC start. On the sparse engine, lane 0 pays the one
+  // symbolic analysis and every later lane adopts it (identical Jacobian
+  // pattern by the topology checks above), so its first factorization is
+  // a numeric refactor.
   std::vector<TransientResult> results;
   results.reserve(lanes);
   for (std::size_t k = 0; k < lanes; ++k) {
-    results.emplace_back(circuits[k]->node_names());
-    results[k].reserve(plan.size() + 1);
-    results[k].record(options.t_start, bw.x_[k], nodes);
-    bw.lanes_[k].x_prev_ = bw.x_[k];
+    NewtonWorkspace& ws = bw.lanes_[k];
+    if (k > 0 && ws.use_sparse_ && bw.lanes_[0].use_sparse_) {
+      ws.sp_lu_.adopt_analysis_from(bw.lanes_[0].sp_lu_);
+    }
+    results.push_back(start_transient(
+        ws, *circuits[k], options, clock,
+        "transient_batch: DC operating point did not converge in lane " +
+            std::to_string(k)));
   }
 
-  // ---- Lock-step march. Every lane performs exactly the scalar
-  // fixed-grid sequence: prepare_base → (assemble_linear → channel stamps
-  // → finish_iteration)* → commit/record. The only batched part is the
-  // middle of each Newton iteration, where all active lanes' MOSFET
-  // channels are gathered per slot and evaluated in one SoA sweep.
-  double dt_prev = 0.0;
-  bool after_discontinuity = true;
-  for (const GridStep& gs : plan) {
-    const double a0 = gs.use_be ? 1.0 / gs.step : 2.0 / gs.step;
-    const double ci = gs.use_be ? 0.0 : -1.0;
-    const bool have_predictor = dt_prev > 0.0 && !after_discontinuity;
-
+  // ---- Lock-step march on the fixed grid. Every lane performs exactly
+  // the scalar fixed-grid sequence: prepare_base → (assemble_linear →
+  // channel stamps → finish_iteration)* → commit_step. The only batched
+  // part is the middle of each Newton iteration, where all active lanes'
+  // MOSFET channels are gathered per slot and evaluated in one SoA sweep.
+  auto newton_failure = [](const ClockStep& step, std::size_t k) {
+    return std::runtime_error(
+        "transient_batch: Newton did not converge on the fixed grid at t=" +
+        std::to_string(step.t_next) + " (lane " + std::to_string(k) + ")");
+  };
+  std::uint64_t steps = 0;
+  while (!clock.done()) {
+    const ClockStep step = clock.take(clock.dt_max());
     for (std::size_t k = 0; k < lanes; ++k) {
       NewtonWorkspace& ws = bw.lanes_[k];
-      ws.x_new_ = bw.x_[k];
-      if (have_predictor) {
-        const std::vector<double>& x = bw.x_[k];
-        for (std::size_t i = 0; i < x.size(); ++i) {
-          ws.x_pred_[i] = x[i] + (x[i] - ws.x_prev_[i]) * (gs.step / dt_prev);
-          ws.x_new_[i] = ws.x_pred_[i];
-        }
-      }
-      prepare_base(ws, gs.t_next, a0, ci, options.newton, kGmin, kNoPins);
+      predict(ws, step);
+      prepare_base(ws, step.t_next, step.a0, step.ci, options.newton, kGmin,
+                   kNoPins);
       bw.prev_scaled_[k] = std::numeric_limits<double>::infinity();
     }
 
     bw.active_.resize(lanes);
     for (std::size_t k = 0; k < lanes; ++k) bw.active_[k] = k;
 
-    for (int iter = 0; iter < options.newton.max_iterations && !bw.active_.empty();
+    for (int iter = 0; iter < kMaxNewtonIterations && !bw.active_.empty();
          ++iter) {
       for (const std::size_t k : bw.active_) {
         NewtonWorkspace& ws = bw.lanes_[k];
@@ -229,7 +202,7 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
         const std::size_t k = bw.active_[j];
         NewtonWorkspace& ws = bw.lanes_[k];
         const LoadContext ctx =
-            nonlinear_context(ws, ws.x_new_, gs.t_next, a0, ci);
+            nonlinear_context(ws, ws.x_new_, step.t_next, step.a0, step.ci);
         for (std::size_t s = 0; s < num_slots; ++s) {
           mosfets[k][s]->stamp_channel(ctx, bw.slots_[s].op(j));
         }
@@ -248,45 +221,31 @@ std::vector<TransientResult> NewtonDriver::run_transient_batch(
         if (r.singular) {
           throw std::runtime_error(
               "transient_batch: singular Jacobian in lane " +
-              std::to_string(k) + " at t=" + std::to_string(gs.t_next));
+              std::to_string(k) + " at t=" + std::to_string(step.t_next));
         }
+        if (r.non_finite) throw newton_failure(step, k);
         if (!r.converged) bw.next_active_.push_back(k);
       }
       bw.active_.swap(bw.next_active_);
     }
-    if (!bw.active_.empty()) {
-      throw std::runtime_error(
-          "transient_batch: Newton did not converge on the fixed grid at "
-          "t=" + std::to_string(gs.t_next) + " (lane " +
-          std::to_string(bw.active_.front()) + ")");
-    }
+    if (!bw.active_.empty()) throw newton_failure(step, bw.active_.front());
 
     for (std::size_t k = 0; k < lanes; ++k) {
-      NewtonWorkspace& ws = bw.lanes_[k];
-      ++ws.stats_.steps_accepted;
-      for (auto& device : circuits[k]->devices()) {
-        device->commit(ws.x_new_, a0, ci);
-      }
-      ws.x_prev_ = bw.x_[k];
-      bw.x_[k].swap(ws.x_new_);
-      results[k].record(gs.t_next, bw.x_[k], nodes);
+      commit_step(bw.lanes_[k], results[k], step);
     }
-    dt_prev = gs.step;
-    after_discontinuity = gs.hit_breakpoint;
+    clock.accept(step);
+    ++steps;
   }
 
   // ---- Stats: each lane's delta is what its scalar twin would report,
   // plus the batched-engine attribution (bt_batches counted once, on
   // lane 0).
   for (std::size_t k = 0; k < lanes; ++k) {
-    NewtonWorkspace& ws = bw.lanes_[k];
-    ++ws.stats_.transients;
-    SolverStats delta = ws.stats_.since(stats_before[k]);
-    delta.bt_batches = k == 0 ? 1 : 0;
-    delta.bt_lanes = 1;
-    delta.bt_steps = plan.size();
-    results[k].set_stats(delta);
-    solver_stats_accumulate(delta);
+    SolverStats& st = bw.lanes_[k].stats_;
+    st.bt_batches += k == 0 ? 1 : 0;
+    st.bt_lanes += 1;
+    st.bt_steps += steps;
+    finish_transient(bw.lanes_[k], stats_before[k], results[k]);
   }
   return results;
 }

@@ -3,16 +3,17 @@
 //
 // A yield campaign re-runs the same cell topology and drive pattern with
 // per-sample threshold-voltage draws, so the K transients share their
-// breakpoints, their step plan and — on the sparse engine — one symbolic
-// LU analysis; only the MOSFET operating points and the linear algebra
-// differ per lane. The engine plans the fixed grid once, evaluates every
-// lane's MOSFET channels through one structure-of-arrays sweep
-// (physics::MosBatch) per Newton iteration, and retires lanes from the
-// iteration as they converge. Each lane executes exactly the scalar
-// fixed-grid step/iteration sequence, so lane k of a batch reproduces an
-// independent scalar run of circuit k bit-for-bit on the dense engine
-// (and to Newton tolerance on the sparse one, where the adopted pivot
-// order may differ from the lane's own analysis). See DESIGN.md §13.
+// breakpoints, their steps and — on the sparse engine — one symbolic LU
+// analysis; only the MOSFET operating points and the linear algebra
+// differ per lane. All lanes walk one step clock (the scalar loop's, on
+// the fixed grid), evaluate their MOSFET channels through one
+// structure-of-arrays sweep (physics::MosBatch) per Newton iteration, and
+// retire from the iteration as they converge. Each lane executes exactly
+// the scalar fixed-grid step/iteration sequence, so lane k of a batch
+// reproduces an independent scalar run of circuit k bit-for-bit on the
+// dense engine (and to Newton tolerance on the sparse one, where the
+// adopted pivot order may differ from the lane's own analysis). See
+// DESIGN.md §13.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +40,6 @@ class BatchWorkspace {
   friend struct detail::NewtonDriver;
 
   std::vector<NewtonWorkspace> lanes_;     ///< one scalar workspace per lane
-  std::vector<std::vector<double>> x_;     ///< per-lane accepted solution
   std::vector<physics::MosBatch> slots_;   ///< per MOSFET slot, SoA over lanes
   std::vector<std::size_t> active_;        ///< unconverged lane ids
   std::vector<std::size_t> next_active_;

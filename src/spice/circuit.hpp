@@ -29,7 +29,6 @@ inline constexpr int kGround = -1;
 /// f(0) — and then re-loads only the nonlinear parts (MOSFET channels)
 /// inside the Newton iteration on top of a memcpy of the cached base.
 enum class LoadScope {
-  kAll,        ///< classic single-pass load (DC fallback, direct callers)
   kLinear,     ///< only stamps affine in x with x-independent Jacobian
   kNonlinear,  ///< only stamps whose Jacobian depends on the iterate
 };
@@ -45,7 +44,7 @@ struct LoadContext {
   /// a device's capture slice in the partitioned engine (ResidualSink).
   ResidualSink* residual = nullptr;
   std::span<const double> x;
-  LoadScope scope = LoadScope::kAll;
+  LoadScope scope = LoadScope::kLinear;
 };
 
 class Device {
@@ -60,7 +59,7 @@ class Device {
   /// Stamp Jacobian and residual at the current iterate, honouring
   /// `ctx.scope`: a kLinear call must stamp exactly the affine-in-x part
   /// (so that at x = 0 the residual is the device's constant offset), a
-  /// kNonlinear call exactly the rest, and kAll both.
+  /// kNonlinear call exactly the rest.
   ///
   /// Stamp-sequence contract (sparse slot replay): for a fixed scope and
   /// a fixed truth value of `a0 == 0`, the sequence of jacobian->stamp

@@ -205,10 +205,10 @@ void Mosfet::load(const LoadContext& ctx) {
   // The constant companion capacitances are the MOSFET's affine part: they
   // belong to the cached base, so the Newton iteration re-stamps only the
   // channel.
-  if (ctx.scope != LoadScope::kNonlinear) {
+  if (ctx.scope == LoadScope::kLinear) {
     for (auto& charge : charges_) load_charge(ctx, charge);
+    return;
   }
-  if (ctx.scope == LoadScope::kLinear) return;
 
   const double vd = node_value(ctx.x, d_);
   const double vg = node_value(ctx.x, g_);

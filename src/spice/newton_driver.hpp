@@ -6,11 +6,15 @@
 // engine can interleave K lanes — prepare_base once per solve, then per
 // Newton iteration assemble_linear → nonlinear stamps → finish_iteration
 // — while every lane's floating-point sequence stays identical to the
-// scalar solve() that composes the same pieces.
+// scalar solve() that composes the same pieces. Both engines walk the
+// same StepClock and share the transient's DC start, predictor, step
+// commit and stats epilogue.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -31,6 +35,8 @@ struct NewtonOutcome {
 struct IterationResult {
   bool converged = false;
   bool singular = false;
+  /// A NaN or infinite residual norm or update: the solve cannot converge.
+  bool non_finite = false;
 };
 
 /// What the partitioned engine's row sweep reduces for finish_iteration:
@@ -42,12 +48,53 @@ struct RowNorms {
   double jac_max_abs = 0.0;
 };
 
-/// One planned fixed-grid step (see NewtonDriver::plan_fixed_grid).
-struct GridStep {
-  double t_next = 0.0;  ///< time after the step (use verbatim, no resum)
-  double step = 0.0;    ///< step size h
-  bool use_be = false;  ///< backward Euler (first step / post-breakpoint)
+/// One step as the StepClock lays it out.
+struct ClockStep {
+  double t_next = 0.0;  ///< time after the step
+  double h = 0.0;       ///< step size
+  double a0 = 0.0;      ///< companion coefficients: backward Euler (1/h, 0)
+  double ci = 0.0;      ///< or trapezoidal (2/h, -1), see StepClock
+  /// h over the previous accepted step; 0 when the step has no predictor
+  /// (the first step and the first after a breakpoint).
+  double growth = 0.0;
   bool hit_breakpoint = false;
+};
+
+/// The step clock every transient walks, the scalar loop (adaptive or
+/// fixed-grid) and the batched lanes alike. take() clips a proposed step
+/// to the next breakpoint, when it reaches within kDtMin of it, and to
+/// t_stop; the first step and every step after a breakpoint integrate
+/// with backward Euler, the rest with the trapezoidal rule.
+class StepClock {
+ public:
+  /// `breakpoints` as collect_breakpoints returns them (sorted, deduped;
+  /// ending at t_stop); they must outlive the clock.
+  StepClock(const TransientOptions& options,
+            std::span<const double> breakpoints);
+
+  /// options.dt_max, or (t_stop - t_start) / 200 when it is 0.
+  double dt_max() const noexcept { return dt_max_; }
+  /// The point count of a run the LTE control never cuts short: every
+  /// step is at most dt_max and each breakpoint may add one.
+  std::size_t points_estimate() const noexcept {
+    return static_cast<std::size_t>(span_ / dt_max_) + breakpoints_.size() +
+           2;
+  }
+  bool done() const noexcept { return !(t_ < t_stop_ - span_ * 1e-12); }
+  double t() const noexcept { return t_; }
+  ClockStep take(double proposed) const;
+  /// Advance past an accepted step.
+  void accept(const ClockStep& step);
+
+ private:
+  std::span<const double> breakpoints_;
+  std::size_t next_bp_ = 0;
+  double t_ = 0.0;
+  double t_stop_ = 0.0;
+  double span_ = 0.0;
+  double dt_max_ = 0.0;
+  double dt_prev_ = 0.0;
+  bool after_discontinuity_ = true;
 };
 
 struct NewtonDriver {
@@ -95,12 +142,12 @@ struct NewtonDriver {
   /// Returns the norms finish_iteration reads.
   static RowNorms sweep_rows(NewtonWorkspace& ws, std::span<const double> x);
 
-  /// After an accepted step: every device commits its history and every
-  /// node records its sample — one sweep on the partitioned engine, the
-  /// plain loops elsewhere.
+  /// After an accepted step to x_new_: every device commits its history
+  /// and every node records its sample — one sweep on the partitioned
+  /// engine, the plain loops elsewhere — and the solution history shifts
+  /// (x_prev_ ← x_, x_ ← x_new_).
   static void commit_step(NewtonWorkspace& ws, TransientResult& result,
-                          double t, std::span<const double> x, double a0,
-                          double ci);
+                          const ClockStep& step);
 
   /// Recompute the per-device permuted-row floors after a fresh symbolic
   /// analysis (the permutation they translate through just changed).
@@ -123,20 +170,32 @@ struct NewtonDriver {
   static DcResult dc(NewtonWorkspace& ws, Circuit& circuit,
                      const DcOptions& options);
 
-  /// Breakpoints for a transient over [t_start, t_stop]: device corners +
-  /// caller extras + t_stop, clipped to the window, sorted and deduped
-  /// with the span-relative tolerance both drivers share.
+  /// Device corners + caller extras + t_stop, deduped.
   static std::vector<double> collect_breakpoints(
       Circuit& circuit, const TransientOptions& options);
 
-  /// The deterministic fixed-grid step sequence: dt_max-sized steps
-  /// clipped to each breakpoint and to t_stop, backward Euler after every
-  /// discontinuity (and on the first step). The scalar fixed-grid
-  /// transient and every batched lane execute exactly this plan, which is
-  /// what makes their accepted-step sequences identical by construction.
-  static std::vector<GridStep> plan_fixed_grid(
-      const TransientOptions& options, double dt_max,
-      std::span<const double> breakpoints);
+  /// Sort, and drop each breakpoint within the span-relative tolerance of
+  /// the last one kept.
+  static void dedupe_breakpoints(std::vector<double>& breakpoints,
+                                 const TransientOptions& options);
+
+  /// The DC operating point into x_ and x_prev_ (std::runtime_error with
+  /// `dc_failure` if it does not converge), every device's history reset
+  /// and committed from it, and a result that recorded it at t_start.
+  static TransientResult start_transient(NewtonWorkspace& ws,
+                                         Circuit& circuit,
+                                         const TransientOptions& options,
+                                         const StepClock& clock,
+                                         const std::string& dc_failure);
+
+  /// Warm start x_new_: x_, or the linear extrapolation through x_prev_
+  /// and x_ (kept in x_pred_ for the LTE test) when the step predicts.
+  static void predict(NewtonWorkspace& ws, const ClockStep& step);
+
+  /// Count the transient; its stats delta since `before` goes to the
+  /// result and to the process-wide aggregate.
+  static void finish_transient(NewtonWorkspace& ws, const SolverStats& before,
+                               TransientResult& result);
 
   static TransientResult run_transient(Circuit& circuit,
                                        const TransientOptions& options,

@@ -69,7 +69,7 @@ ImportanceSample evaluate_importance_sample(const ImportanceConfig& config,
 /// `evaluate_importance_sample` uses, so weights are bit-identical to the
 /// scalar evaluator; verdicts come from the fixed-grid (not adaptive)
 /// nominal waveform and are independent of how indices are grouped into
-/// batches (all lanes share one breakpoint set, hence one step plan).
+/// batches (all lanes share one breakpoint set, hence one step sequence).
 std::vector<ImportanceSample> evaluate_importance_batch(
     const ImportanceConfig& config, std::size_t first, std::size_t count);
 

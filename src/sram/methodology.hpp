@@ -105,7 +105,7 @@ struct NominalBatchRun {
 /// Monte-Carlo samples of one workload differing only in `vth_shifts` (and
 /// seed); the batch engine enforces the resulting topology equality. Forces
 /// `fixed_grid`, so results differ from the adaptive-step run_nominal by
-/// integration error only (the step plan is the deterministic fixed grid).
+/// integration error only (every step is the deterministic fixed grid's).
 NominalBatchRun run_nominal_batch(std::span<const MethodologyConfig> configs,
                                   spice::BatchWorkspace& workspace);
 

@@ -108,26 +108,6 @@ TEST(Transient, RcDischargeMatchesAnalytic) {
   EXPECT_NEAR(result.voltage_at("out", 0.5e-6), 1.0, 1e-6);
 }
 
-TEST(Transient, RcChargeWithBackwardEuler) {
-  Circuit circuit;
-  const int in = circuit.node("in");
-  const int out = circuit.node("out");
-  core::Pwl step;
-  step.append(0.0, 0.0);
-  step.append(1e-9, 0.0);
-  step.append(1.01e-9, 1.0);
-  circuit.add<VoltageSource>(circuit, "V1", in, kGround, step);
-  circuit.add<Resistor>("R1", in, out, 1e3);
-  circuit.add<Capacitor>("C1", out, kGround, 1e-12);
-  TransientOptions options;
-  options.t_stop = 10e-9;
-  options.method = IntegrationMethod::kBackwardEuler;
-  const auto result = transient(circuit, options);
-  const double tau = 1e-9;
-  EXPECT_NEAR(result.voltage_at("out", 1.01e-9 + 3.0 * tau),
-              1.0 - std::exp(-3.0), 0.02);
-}
-
 TEST(Transient, PwlCurrentInjectionIntoRc) {
   Circuit circuit;
   const int a = circuit.node("a");

@@ -2,19 +2,56 @@
 // workspace, the linear-stamp cache and the modified-Newton LU bypass must
 // be pure accelerations — same waveforms as the force-refactorize
 // reference, zero steady-state allocations — and the adaptive step
-// controller must keep its breakpoint/LTE/underflow contracts.
+// controller must keep its breakpoint/LTE/underflow contracts. The time
+// loop's outputs are pinned bit for bit, and a NaN source must fail every
+// path through it.
 #include "spice/analysis.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "bit_hash.hpp"
+#include "spice/batch.hpp"
 #include "spice/devices.hpp"
 #include "sram/methodology.hpp"
 
 namespace samurai {
 namespace {
+
+/// 1 kΩ || 1 pF driven by `current` (A, of time).
+void build_rc(spice::Circuit& circuit, std::function<double(double)> current) {
+  const int a = circuit.node("a");
+  circuit.add<spice::CallbackCurrentSource>("I1", spice::kGround, a,
+                                            std::move(current));
+  circuit.add<spice::Resistor>("R1", a, spice::kGround, 1e3);
+  circuit.add<spice::Capacitor>("C1", a, spice::kGround, 1e-12);
+}
+
+double sine_50mhz(double t) {
+  return 1e-3 * std::sin(2.0 * 3.141592653589793 * 5e7 * t);
+}
+
+/// A source that reads NaN once the transient leaves t = 0.
+double nan_after_start(double t) {
+  return t > 0.0 ? std::numeric_limits<double>::quiet_NaN() : 1e-3;
+}
+
+/// The message of the std::runtime_error `run` throws ("" if none).
+std::string failure_of(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  return "";
+}
 
 sram::MethodologyConfig write_config(bool fast_path) {
   sram::MethodologyConfig config;
@@ -101,17 +138,8 @@ TEST(StepController, LteRejectionRetriesAtQuarterStep) {
   // A fast sine into an RC with a deliberately huge initial step: the
   // predictor/corrector error must reject the early steps (retrying at
   // step/4) and still land on the correct trajectory.
-  auto build = [](spice::Circuit& circuit) {
-    const int a = circuit.node("a");
-    circuit.add<spice::CallbackCurrentSource>(
-        "I1", spice::kGround, a,
-        [](double t) { return 1e-3 * std::sin(2.0 * 3.141592653589793 * 5e7 * t); });
-    circuit.add<spice::Resistor>("R1", a, spice::kGround, 1e3);
-    circuit.add<spice::Capacitor>("C1", a, spice::kGround, 1e-12);
-  };
-
   spice::Circuit coarse_circuit;
-  build(coarse_circuit);
+  build_rc(coarse_circuit, sine_50mhz);
   spice::TransientOptions coarse;
   coarse.t_stop = 100e-9;
   coarse.dt_initial = 5e-9;  // a quarter of the sine period
@@ -122,7 +150,7 @@ TEST(StepController, LteRejectionRetriesAtQuarterStep) {
   // Reference with a conservative step cap: the rejected-and-retried run
   // must agree with it despite starting 250x coarser.
   spice::Circuit fine_circuit;
-  build(fine_circuit);
+  build_rc(fine_circuit, sine_50mhz);
   spice::TransientOptions fine;
   fine.t_stop = 100e-9;
   fine.dt_max = 0.2e-9;
@@ -134,23 +162,108 @@ TEST(StepController, LteRejectionRetriesAtQuarterStep) {
 }
 
 TEST(StepController, DtMinUnderflowThrows) {
-  // Allow one Newton iteration per step: the entering residual of a fast
-  // source can then never pass the convergence check, so every step
-  // rejects, quarters, and the controller must throw at dt_min rather
-  // than loop forever. The DC solve keeps its own (default) Newton
-  // options and still converges.
+  // Every Newton solve past t = 0 fails on the NaN source, so every step
+  // rejects and quarters, and the controller must throw at the minimum
+  // step rather than loop forever. The DC solve (t = 0) still converges.
   spice::Circuit circuit;
-  const int a = circuit.node("a");
-  circuit.add<spice::CallbackCurrentSource>(
-      "I1", spice::kGround, a,
-      [](double t) { return 1e-3 * std::sin(2.0 * 3.141592653589793 * 5e7 * t); });
-  circuit.add<spice::Resistor>("R1", a, spice::kGround, 1e3);
-  circuit.add<spice::Capacitor>("C1", a, spice::kGround, 1e-12);
+  build_rc(circuit, nan_after_start);
   spice::TransientOptions options;
   options.t_stop = 1e-6;
-  options.dt_min = 1e-12;
-  options.newton.max_iterations = 1;
-  EXPECT_THROW(spice::transient(circuit, options), std::runtime_error);
+  EXPECT_NE(failure_of([&] { (void)spice::transient(circuit, options); })
+                .find("step size underflow"),
+            std::string::npos);
+}
+
+TEST(Transient, NonFiniteSourceFailsEveryPath) {
+  // A NaN residual must fail the Newton iteration on every path (a norm
+  // reduced with std::max drops the NaN and would pass the convergence
+  // test), so no transient returns NaN samples: the adaptive loop
+  // rejects down to its underflow throw, the fixed grid throws its
+  // Newton failure, the batch throws it naming the failing lane, and a
+  // DC solve reports no convergence.
+  spice::Circuit dc;
+  build_rc(dc, [](double) { return std::numeric_limits<double>::quiet_NaN(); });
+  EXPECT_FALSE(spice::dc_operating_point(dc).converged);
+
+  spice::TransientOptions options;
+  options.t_stop = 100e-9;
+  spice::Circuit adaptive;
+  build_rc(adaptive, nan_after_start);
+  EXPECT_NE(failure_of([&] { (void)spice::transient(adaptive, options); })
+                .find("step size underflow"),
+            std::string::npos);
+
+  options.fixed_grid = true;
+  spice::Circuit grid;
+  build_rc(grid, nan_after_start);
+  EXPECT_NE(failure_of([&] { (void)spice::transient(grid, options); })
+                .find("did not converge on the fixed grid"),
+            std::string::npos);
+
+  spice::Circuit finite_lane;
+  spice::Circuit nan_lane;
+  build_rc(finite_lane, sine_50mhz);
+  build_rc(nan_lane, nan_after_start);
+  const std::vector<spice::Circuit*> lanes = {&finite_lane, &nan_lane};
+  const std::string batch = failure_of(
+      [&] { (void)spice::transient_batch(lanes, options); });
+  EXPECT_NE(batch.find("did not converge on the fixed grid"),
+            std::string::npos)
+      << batch;
+  EXPECT_NE(batch.find("lane 1"), std::string::npos) << batch;
+}
+
+TEST(Transient, GoldenHashes) {
+  // Every way through the time loop, pinned bit for bit (times, node
+  // names, samples and every solver counter): a 90 nm 6T write on the
+  // adaptive loop and on the fixed grid, a 4-lane batch of it, and an RC
+  // with an on_step hook and extra breakpoints on both step modes.
+  sram::MethodologyConfig config;
+  config.tech = physics::technology("90nm");
+  config.tech.v_dd = 0.9;
+  config.sizing.extra_node_cap = 40e-15;
+  config.timing.period = 1e-9;
+  config.ops = sram::ops_from_bits({1, 0, 1});
+
+  BitHash adaptive;
+  adaptive.add(sram::run_nominal(config).result);
+  EXPECT_EQ(adaptive.value(), 0x9d90b8e97fb31a40ULL);
+
+  sram::MethodologyConfig fixed = config;
+  fixed.transient.fixed_grid = true;
+  BitHash grid;
+  grid.add(sram::run_nominal(fixed).result);
+  EXPECT_EQ(grid.value(), 0x3993e2198d8aed9aULL);
+
+  std::vector<sram::MethodologyConfig> lanes(4, config);
+  for (std::size_t k = 0; k < lanes.size(); ++k) {
+    lanes[k].vth_shifts["M5"] = 0.01 * static_cast<double>(k);
+    lanes[k].vth_shifts["M1"] = -0.007 * static_cast<double>(k);
+  }
+  spice::BatchWorkspace workspace;
+  BitHash batch;
+  for (const auto& result : sram::run_nominal_batch(lanes, workspace).results) {
+    batch.add(result);
+  }
+  EXPECT_EQ(batch.value(), 0x9f605ec1d130acd3ULL);
+
+  BitHash rc;
+  for (const bool fixed_grid : {true, false}) {
+    spice::Circuit circuit;
+    build_rc(circuit, sine_50mhz);
+    spice::TransientOptions options;
+    options.t_stop = 100e-9;
+    options.dt_max = 0.7e-9;
+    options.extra_breakpoints = {3.7e-9, 41.3e-9};
+    options.fixed_grid = fixed_grid;
+    double moment = 0.0;
+    options.on_step = [&moment](double t, std::span<const double> x) {
+      moment += t * x[0];
+    };
+    rc.add(spice::transient(circuit, options));
+    rc.add(moment);
+  }
+  EXPECT_EQ(rc.value(), 0x0ffd419c41f668c6ULL);
 }
 
 }  // namespace
